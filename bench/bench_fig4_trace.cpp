@@ -46,7 +46,7 @@ std::string cell(const core::SsrMinRing& ring,
   if (ring.holds_secondary(config[i], config[stab::succ_index(i, n)]))
     out += 'S';
   const int rule = engine.enabled_rule(i);
-  if (rule != stab::kDisabled) out += "/" + std::to_string(rule);
+  if (rule != stab::kDisabled) out.append("/").append(std::to_string(rule));
   return out;
 }
 

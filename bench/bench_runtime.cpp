@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "core/legitimacy.hpp"
 #include "runtime/factories.hpp"
-#include "runtime/udp_ring.hpp"
+#include "runtime/reactor.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -72,38 +72,44 @@ int main() {
   }
   // The same experiment over real loopback UDP sockets with CRC-framed
   // states, clean and with 20% frame corruption (rejected by checksum,
-  // i.e. behaving as loss).
+  // i.e. behaving as loss): a one-ring reactor whose holder timeline is
+  // recorded at every transition, so zero-holder time is exact rather
+  // than sampled.
+  TextTable udp_table({"algorithm", "n", "zero-holder us", "min holders",
+                       "max holders", "handovers", "rules exec",
+                       "frames sent", "rejected"});
   for (std::size_t n : sizes) {
-    const auto K = static_cast<std::uint32_t>(n + 1);
-    for (double corruption : {0.0, 0.2}) {
-      core::SsrMinRing ring(n, K);
-      runtime::UdpParams params;
-      params.refresh_interval = 1000us;
-      params.seed = 99;
-      params.corruption_probability = corruption;
-      runtime::UdpSsrRing udp(ring, core::canonical_legitimate(ring, 0),
-                              params);
-      udp.start();
-      const runtime::SamplerReport r = udp.observe(window, 300us);
-      udp.stop();
-      table.row()
-          .cell(corruption == 0.0 ? "ssrmin/udp" : "ssrmin/udp+20%corrupt")
+    for (const char* plan : {"", "corrupt=0.2"}) {
+      runtime::ReactorConfig config;
+      config.rings = 1;
+      config.nodes = n;
+      config.transport = runtime::ReactorTransport::kUdp;
+      config.start = runtime::RingStart::kLegitimate;
+      config.refresh_interval = 1000us;
+      config.seed = 99;
+      config.fault_plan = runtime::FaultPlan::parse(plan);
+      config.per_ring_telemetry = true;
+      runtime::MultiRingReactor reactor(config);
+      const runtime::ReactorReport r = reactor.run(window);
+      const runtime::Telemetry& t = reactor.ring_telemetry(0);
+      udp_table.row()
+          .cell(*plan == '\0' ? "ssrmin/udp" : "ssrmin/udp+20%corrupt")
           .cell(n)
-          .cell(r.samples)
-          .cell(r.consistent_samples)
-          .cell(r.zero_holder_samples)
-          .cell(r.min_holders)
-          .cell(r.max_holders)
-          .cell(r.handovers)
+          .cell(t.zero_holder_dwell_us(), 0)
+          .cell(t.min_holders())
+          .cell(t.max_holders())
+          .cell(t.handovers())
           .cell(r.rule_executions)
-          .cell(r.messages_sent);
+          .cell(r.frames_sent)
+          .cell(r.frames_rejected);
     }
   }
 
-  std::cout << table.render() << '\n';
-  std::cout << "paper expectation: ssrmin zero-holder samples = 0 with "
-               "holders in [1,2] (clean links; corruption behaves as loss, "
-               "so rare transients are tolerated there); dijkstra may show "
-               "zero-holder samples (its handover is not graceful).\n";
+  std::cout << table.render() << '\n' << udp_table.render() << '\n';
+  std::cout << "paper expectation: ssrmin zero-holder samples (threads) "
+               "and zero-holder time (udp) = 0 with holders in [1,2] (clean "
+               "links; corruption behaves as loss, so rare transients are "
+               "tolerated there); dijkstra may show zero-holder samples "
+               "(its handover is not graceful).\n";
   return 0;
 }

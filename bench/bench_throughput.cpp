@@ -118,19 +118,20 @@ void BM_ModelCheckN3K4(benchmark::State& state) {
 BENCHMARK(BM_ModelCheckN3K4);
 
 void BM_WireEncodeFrame(benchmark::State& state) {
-  const core::SsrState s{42, true, false};
+  const wire::Bytes payload =
+      wire::encode_state(core::SsrState{42, true, false});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(wire::encode_state_frame(7, s));
+    benchmark::DoNotOptimize(wire::encode_frame_v2(3, 7, payload));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_WireEncodeFrame);
 
 void BM_WireDecodeFrame(benchmark::State& state) {
-  const wire::Bytes frame =
-      wire::encode_state_frame(7, core::SsrState{42, true, false});
+  const wire::Bytes frame = wire::encode_frame_v2(
+      3, 7, wire::encode_state(core::SsrState{42, true, false}));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(wire::decode_frame(frame));
+    benchmark::DoNotOptimize(wire::decode_frame_any(frame));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

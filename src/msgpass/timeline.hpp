@@ -66,7 +66,7 @@ class TimelineRecorder {
     const std::size_t cols = std::min(columns_.size(), max_cols);
     std::string out;
     for (std::size_t i = 0; i < nodes_; ++i) {
-      out += "v" + std::to_string(i);
+      out.append("v").append(std::to_string(i));
       out.append(i < 10 ? 2 : 1, ' ');
       out += '|';
       for (std::size_t c = 0; c < cols; ++c) {

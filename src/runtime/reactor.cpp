@@ -120,10 +120,9 @@ struct MultiRingReactor::Shard {
   std::vector<std::uint64_t> repair_queue;
   std::size_t repair_head = 0;
 
-  // Rejections not attributable to a ring (bad CRC, unknown ring id).
+  // Rejections not attributable to a ring (bad CRC or version, truncated
+  // datagram, unknown ring id).
   std::uint64_t rejected = 0;
-  // Checksum-valid frames of the wrong wire version (v1 at the reactor).
-  std::uint64_t wrong_version = 0;
   // sendmmsg failures (kernel send queue full); frames are dropped and
   // the refresh machinery repairs.
   std::uint64_t send_errors = 0;
@@ -209,6 +208,17 @@ void MultiRingReactor::note_holder_change(std::size_t ring, std::size_t node,
     table_->holders(ring, shard.holder_scratch);
     ring_telemetry_[ring]->observe(static_cast<double>(now_us),
                                    shard.holder_scratch);
+  }
+}
+
+void MultiRingReactor::observe_initial_holders(Shard& shard,
+                                               std::size_t stride,
+                                               std::uint64_t now_us) {
+  if (ring_telemetry_.empty()) return;
+  for (std::size_t r = shard.id; r < config_.rings; r += stride) {
+    table_->holders(r, shard.holder_scratch);
+    ring_telemetry_[r]->observe(static_cast<double>(now_us),
+                                shard.holder_scratch);
   }
 }
 
@@ -391,12 +401,7 @@ void MultiRingReactor::run_virtual(std::chrono::microseconds duration) {
   Shard& shard = *shards_[0];
   const auto end = static_cast<std::uint64_t>(duration.count());
 
-  if (!ring_telemetry_.empty()) {
-    for (std::size_t r = 0; r < config_.rings; ++r) {
-      table_->holders(r, shard.holder_scratch);
-      ring_telemetry_[r]->observe(0.0, shard.holder_scratch);
-    }
-  }
+  observe_initial_holders(shard, 1, 0);
   // Kick: every node broadcasts its initial state, staggered over the
   // first few hundred microseconds to spread the frame burst. The kick
   // also arms the ring's refresh timer.
@@ -423,15 +428,9 @@ void MultiRingReactor::run_virtual(std::chrono::microseconds duration) {
           default: {  // kCookieDelivery
             const wire::Bytes frame_bytes = shard.take_slot(value);
             const auto frame = wire::decode_frame_any(frame_bytes);
-            if (!frame) {
-              // Injected corruption, rejected by checksum — exactly what
-              // a real receiver does.
-              ++shard.rejected;
-              break;
-            }
-            if (frame->version != wire::kVersion2 ||
-                frame->ring_id >= config_.rings) {
-              if (frame->version != wire::kVersion2) ++shard.wrong_version;
+            // Injected corruption is rejected by checksum — exactly what
+            // a real receiver does.
+            if (!frame || frame->ring_id >= config_.rings) {
               ++shard.rejected;
               break;
             }
@@ -508,6 +507,8 @@ void MultiRingReactor::udp_shard_main(Shard& shard,
     shard.send_spans.clear();
   };
 
+  observe_initial_holders(shard, nshards, now_us());
+
   // Initial broadcasts ride staggered kick timers: spreading the kicks
   // over at least a refresh interval (longer for huge shards) turns the
   // startup burst into a paced trickle the receive path can absorb.
@@ -579,25 +580,19 @@ void MultiRingReactor::udp_shard_main(Shard& shard,
       }
       const std::uint64_t rt = now_us();
       for (int m = 0; m < got; ++m) {
-        const std::size_t len = messages[m].msg_len;
-        if (len == 0 || len > kRecvBuffer) {
+        // recvmmsg without MSG_TRUNC in flags reports the truncated
+        // length, so an oversized datagram is only visible in msg_flags.
+        if ((messages[m].msg_hdr.msg_flags & MSG_TRUNC) != 0) {
           ++shard.rejected;
           continue;
         }
         const auto frame = wire::decode_frame_any(
-            wire::ByteView(buffers[static_cast<std::size_t>(m)].data(), len));
-        if (!frame) {
-          ++shard.rejected;
-          continue;
-        }
-        if (frame->version != wire::kVersion2) {
-          ++shard.wrong_version;
-          ++shard.rejected;
-          continue;
-        }
-        if (frame->ring_id >= config_.rings ||
+            wire::ByteView(buffers[static_cast<std::size_t>(m)].data(),
+                           messages[m].msg_len));
+        // Garbage, a bad version or CRC, or a misrouted / unknown ring id.
+        if (!frame || frame->ring_id >= config_.rings ||
             frame->ring_id % nshards != shard.id) {
-          ++shard.rejected;  // misrouted or garbage ring id
+          ++shard.rejected;
           continue;
         }
         shard.rebroadcast.clear();
@@ -640,6 +635,10 @@ void MultiRingReactor::run_udp(std::chrono::microseconds duration) {
                 "epoll_ctl(eventfd) failed");
     shards_.push_back(std::move(shard));
   }
+  {
+    const std::lock_guard<std::mutex> lock(ports_mutex_);
+    for (const auto& shard : shards_) ports_.push_back(shard->port);
+  }
   stop_.store(false);
   const auto deadline = static_cast<std::uint64_t>(duration.count());
   for (auto& shard : shards_) {
@@ -660,6 +659,17 @@ void MultiRingReactor::run_udp(std::chrono::microseconds duration) {
 }
 
 // --- entry point and reporting -------------------------------------------
+
+std::vector<std::uint16_t> MultiRingReactor::udp_ports() const {
+  const std::lock_guard<std::mutex> lock(ports_mutex_);
+  return ports_;
+}
+
+const Telemetry& MultiRingReactor::ring_telemetry(std::size_t ring) const {
+  SSR_REQUIRE(ring < ring_telemetry_.size(),
+              "ring_telemetry needs per_ring_telemetry and a valid ring");
+  return *ring_telemetry_[ring];
+}
 
 ReactorReport MultiRingReactor::run(std::chrono::microseconds duration) {
   SSR_REQUIRE(!ran_, "a MultiRingReactor instance runs once");
@@ -691,7 +701,6 @@ ReactorReport MultiRingReactor::make_report(double duration_us) {
     report.frames_corrupted += c.frames_corrupted;
     report.frames_received += c.frames_received;
     report.frames_rejected += c.frames_rejected;
-    report.send_errors += c.send_errors;
     report.rule_executions += c.rule_executions;
     report.crash_restarts += c.crash_restarts;
     report.refresh_broadcasts += c.refresh_broadcasts;

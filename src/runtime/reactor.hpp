@@ -1,17 +1,16 @@
 // MultiRingReactor: one event loop hosting hundreds of thousands of
 // independent self-stabilizing rings over a handful of shared UDP sockets.
 //
-// The single-ring runtimes burn a thread per *node* (UdpSsrRing: n threads
-// and n sockets for one ring). That topology caps an experiment at a few
-// dozen rings per machine. The reactor inverts it: rings are partitioned
-// across S shards (ring % S); each shard owns ONE nonblocking UDP socket,
-// an epoll instance, a hierarchical timer wheel and the dense RingTable
-// rows of its rings. All frames of a shard's rings travel through the
-// shard's socket as v2 wire frames (ring-id in the header, destination
-// node as the first payload varint), batched with recvmmsg/sendmmsg. Per
-// ring there are no threads, no sockets and no heap objects on the hot
-// path — just table rows and timer-wheel entries — which is what makes
-// 100k+ rings per process tractable.
+// A thread-per-node runtime (ThreadedRing) caps an experiment at a few
+// dozen rings per machine. The reactor inverts that topology: rings are
+// partitioned across S shards (ring % S); each shard owns ONE nonblocking
+// UDP socket, an epoll instance, a hierarchical timer wheel and the dense
+// RingTable rows of its rings. All frames of a shard's rings travel
+// through the shard's socket as v2 wire frames (ring-id in the header,
+// destination node as the first payload varint), batched with
+// recvmmsg/sendmmsg. Per ring there are no threads, no sockets and no heap
+// objects on the hot path — just table rows and timer-wheel entries —
+// which is what makes 100k+ rings per process tractable.
 //
 // Two transports share all of the protocol machinery:
 //
@@ -23,7 +22,8 @@
 //     exercised identically.
 //   * kUdp — real loopback sockets, one shard thread per socket, epoll +
 //     recvmmsg/sendmmsg, wall-clock fault windows, SK_MEMINFO drop
-//     accounting. This is the benchmark transport.
+//     accounting. This is the benchmark transport, and with rings = 1 the
+//     repo's single-ring loopback UDP runtime (`ssring run-udp`).
 //
 // Fault injection reuses PR 3's machinery unchanged: one read-only
 // FaultInjector decides per-frame fates (an empty plan consumes zero RNG
@@ -36,6 +36,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -165,6 +166,15 @@ class MultiRingReactor {
   const RingTable& table() const { return *table_; }
   const ReactorConfig& config() const { return config_; }
 
+  /// Loopback port of each kUdp shard socket, indexed by shard. Empty
+  /// until run() has bound the sockets; safe to call from another thread
+  /// while run() is in progress (tests inject datagrams this way).
+  std::vector<std::uint16_t> udp_ports() const;
+
+  /// Holder timeline of @p ring (requires per_ring_telemetry); complete
+  /// once run() has returned.
+  const Telemetry& ring_telemetry(std::size_t ring) const;
+
   /// Per-ring telemetry export (requires per_ring_telemetry). Under the
   /// virtual transport this is a pure function of (config, seed) —
   /// byte-deterministic across runs. Schema "ssr-multiring-telemetry-v1".
@@ -186,6 +196,8 @@ class MultiRingReactor {
                       std::uint64_t now_us);
   void note_holder_change(std::size_t ring, std::size_t node,
                           std::uint64_t now_us);
+  void observe_initial_holders(Shard& shard, std::size_t stride,
+                               std::uint64_t now_us);
   ReactorReport make_report(double duration_us);
 
   ReactorConfig config_;
@@ -202,6 +214,8 @@ class MultiRingReactor {
   bool ran_ = false;
   double ran_duration_us_ = 0.0;
   std::uint64_t kernel_rx_drops_ = 0;
+  mutable std::mutex ports_mutex_;
+  std::vector<std::uint16_t> ports_;  // guarded by ports_mutex_
 
   // Transport plumbing shared by both modes; see reactor.cpp.
   struct VirtualState;

@@ -1,7 +1,7 @@
 // Dense per-ring state for the multi-ring reactor.
 //
-// The single-ring runtimes spend a thread (ThreadedRing, UdpSsrRing) or a
-// whole simulation object per ring. A RingTable instead packs the state of
+// ThreadedRing spends a thread per node and msgpass::CstSimulation a whole
+// simulation object per ring. A RingTable instead packs the state of
 // every hosted ring — protocol kind, per-node local states, per-node
 // neighbor caches, holder bits, wire counters, fault bookkeeping and an
 // independent RNG stream — into flat arrays indexed by (ring, node), so
@@ -14,7 +14,7 @@
 // layouts. The protocol objects themselves (SsrMinRing &c.) are shared —
 // they are pure (n, K) pairs.
 //
-// The message-passing semantics mirror UdpSsrRing exactly: a node owns its
+// The message-passing semantics are CST's (paper §5): a node owns its
 // local state plus cached neighbor states; a received frame updates the
 // cache and may enable a rule; a state change triggers a broadcast to both
 // neighbors; token holding is judged from the node's own (state, caches)
@@ -87,8 +87,8 @@ inline dijkstra::DualLocal unpack_dual(const NodeState& s) {
   return dijkstra::DualLocal{s.a, s.b};
 }
 
-/// Per-ring wire/rule counters (the multi-ring analogue of UdpStats;
-/// plain integers — each ring is owned by exactly one shard).
+/// Per-ring wire/rule counters (plain integers — each ring is owned by
+/// exactly one shard).
 struct RingCounters {
   std::uint64_t frames_sent = 0;
   std::uint64_t frames_dropped = 0;
@@ -97,7 +97,6 @@ struct RingCounters {
   std::uint64_t frames_corrupted = 0;
   std::uint64_t frames_received = 0;
   std::uint64_t frames_rejected = 0;
-  std::uint64_t send_errors = 0;
   std::uint64_t rule_executions = 0;
   std::uint64_t crash_restarts = 0;
   std::uint64_t refresh_broadcasts = 0;
@@ -341,7 +340,7 @@ class RingTable {
   }
 
   /// Token holding from the node's own (state, caches) view — the same
-  /// judgement UdpSsrRing publishes to its HolderBoard.
+  /// judgement ThreadedRing publishes to its HolderBoard.
   bool node_holds(std::size_t ring, std::size_t node) const {
     const std::size_t base = ring * n_;
     const NodeState& self = states_[base + node];
@@ -361,9 +360,10 @@ class RingTable {
     return false;
   }
 
-  /// Crash-restart with state reset (mirrors UdpSsrRing's crash handling):
-  /// wipes @p node's state and caches. The caller re-derives the holder
-  /// bit (update_holder) so the transition feeds its telemetry hooks.
+  /// Crash-restart with state reset (mirrors ThreadedRing's crash
+  /// handling): wipes @p node's state and caches. The caller re-derives
+  /// the holder bit (update_holder) so the transition feeds its telemetry
+  /// hooks.
   void crash_node(std::size_t ring, std::size_t node) {
     const std::size_t base = ring * n_;
     states_[base + node] = NodeState{};

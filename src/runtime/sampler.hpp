@@ -37,11 +37,6 @@ struct SamplerReport {
   /// for wire-less runtimes this includes corruption, which a checksum
   /// would turn into loss anyway).
   std::uint64_t messages_lost = 0;
-  /// Receive-side rejects: checksum/parse failures, zero-length and
-  /// truncated datagrams (wire runtimes only).
-  std::uint64_t messages_rejected = 0;
-  /// Transmissions the kernel refused (UDP sendto() failures).
-  std::uint64_t send_errors = 0;
   std::uint64_t rule_executions = 0;
 };
 

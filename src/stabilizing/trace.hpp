@@ -85,7 +85,9 @@ std::string format_trace(const std::vector<TraceEntry<P>>& entries,
   if (entries.empty()) return "";
   const std::size_t n = entries.front().config.size();
   std::vector<std::string> header{"Step"};
-  for (std::size_t i = 0; i < n; ++i) header.push_back("P" + std::to_string(i));
+  for (std::size_t i = 0; i < n; ++i) {
+    header.push_back(std::string("P").append(std::to_string(i)));
+  }
   TextTable table(std::move(header));
   for (std::size_t t = 0; t < entries.size(); ++t) {
     const auto& e = entries[t];
@@ -96,7 +98,7 @@ std::string format_trace(const std::vector<TraceEntry<P>>& entries,
       if (style.annotate) cell += style.annotate(e.config, i);
       for (std::size_t k = 0; k < e.selected.size(); ++k) {
         if (e.selected[k] == i) {
-          cell += "/" + std::to_string(e.rules[k]);
+          cell.append("/").append(std::to_string(e.rules[k]));
           break;
         }
       }

@@ -127,8 +127,10 @@ std::size_t InvariantSuite::observe(const core::SsrConfig& config) {
   for (auto& invariant : invariants_) {
     std::string violation = invariant->observe(config);
     if (!violation.empty()) {
-      violations_.push_back("[" + invariant->name() + "] " +
-                            std::move(violation));
+      violations_.push_back(std::string("[")
+                                .append(invariant->name())
+                                .append("] ")
+                                .append(violation));
       ++fresh;
     }
   }

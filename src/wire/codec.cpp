@@ -75,55 +75,6 @@ std::string to_string(DecodeError error) {
   return "unknown";
 }
 
-Bytes encode_frame(std::uint64_t sender, ByteView payload) {
-  Bytes out;
-  out.reserve(payload.size() + 12);
-  out.push_back(kMagic);
-  out.push_back(kVersion);
-  put_varint(out, sender);
-  put_varint(out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = crc32(out);
-  out.push_back(static_cast<std::uint8_t>(crc));
-  out.push_back(static_cast<std::uint8_t>(crc >> 8));
-  out.push_back(static_cast<std::uint8_t>(crc >> 16));
-  out.push_back(static_cast<std::uint8_t>(crc >> 24));
-  return out;
-}
-
-std::optional<Frame> decode_frame(ByteView data, DecodeError* error) {
-  auto fail = [&](DecodeError e) -> std::optional<Frame> {
-    if (error != nullptr) *error = e;
-    return std::nullopt;
-  };
-  if (error != nullptr) *error = DecodeError::kNone;
-  if (data.size() < 2 + 1 + 1 + 4) return fail(DecodeError::kTruncated);
-  if (data[0] != kMagic) return fail(DecodeError::kBadMagic);
-  if (data[1] != kVersion) return fail(DecodeError::kBadVersion);
-  std::size_t offset = 2;
-  const auto sender = get_varint(data, offset);
-  if (!sender) return fail(DecodeError::kTruncated);
-  const auto length = get_varint(data, offset);
-  if (!length) return fail(DecodeError::kTruncated);
-  if (*length > data.size() || offset + *length + 4 != data.size()) {
-    return fail(DecodeError::kBadLength);
-  }
-  const std::size_t crc_offset = offset + *length;
-  const std::uint32_t stored =
-      static_cast<std::uint32_t>(data[crc_offset]) |
-      (static_cast<std::uint32_t>(data[crc_offset + 1]) << 8) |
-      (static_cast<std::uint32_t>(data[crc_offset + 2]) << 16) |
-      (static_cast<std::uint32_t>(data[crc_offset + 3]) << 24);
-  if (crc32(data.first(crc_offset)) != stored) {
-    return fail(DecodeError::kBadChecksum);
-  }
-  Frame frame;
-  frame.sender = *sender;
-  frame.payload.assign(data.begin() + static_cast<std::ptrdiff_t>(offset),
-                       data.begin() + static_cast<std::ptrdiff_t>(crc_offset));
-  return frame;
-}
-
 void encode_frame_v2_into(Bytes& out, std::uint64_t ring_id,
                           std::uint64_t sender, ByteView payload) {
   const std::size_t start = out.size();
@@ -155,19 +106,12 @@ std::optional<FrameV2> decode_frame_any(ByteView data, DecodeError* error) {
     return std::nullopt;
   };
   if (error != nullptr) *error = DecodeError::kNone;
-  if (data.size() < 2 + 1 + 1 + 4) return fail(DecodeError::kTruncated);
+  if (data.size() < 2 + 1 + 1 + 1 + 4) return fail(DecodeError::kTruncated);
   if (data[0] != kMagic) return fail(DecodeError::kBadMagic);
-  const std::uint8_t version = data[1];
-  if (version != kVersion && version != kVersion2) {
-    return fail(DecodeError::kBadVersion);
-  }
+  if (data[1] != kVersion2) return fail(DecodeError::kBadVersion);
   std::size_t offset = 2;
-  std::uint64_t ring_id = 0;
-  if (version == kVersion2) {
-    const auto ring = get_varint(data, offset);
-    if (!ring) return fail(DecodeError::kTruncated);
-    ring_id = *ring;
-  }
+  const auto ring_id = get_varint(data, offset);
+  if (!ring_id) return fail(DecodeError::kTruncated);
   const auto sender = get_varint(data, offset);
   if (!sender) return fail(DecodeError::kTruncated);
   const auto length = get_varint(data, offset);
@@ -185,8 +129,7 @@ std::optional<FrameV2> decode_frame_any(ByteView data, DecodeError* error) {
     return fail(DecodeError::kBadChecksum);
   }
   FrameV2 frame;
-  frame.version = version;
-  frame.ring_id = ring_id;
+  frame.ring_id = *ring_id;
   frame.sender = *sender;
   frame.payload.assign(data.begin() + static_cast<std::ptrdiff_t>(offset),
                        data.begin() + static_cast<std::ptrdiff_t>(crc_offset));

@@ -9,19 +9,16 @@
 //
 //   * LEB128-style varint encoding for integers,
 //   * CRC-32 (IEEE 802.3 polynomial, table-driven),
-//   * a framed message format:
-//       magic(0xA5) | version(1) | sender varint | payload-length varint |
-//       payload bytes | crc32 (little-endian, over everything before it)
-//   * a v2 framed format for multiplexed transports, identical except for a
-//     ring-id varint between the version byte and the sender:
+//   * the framed message format, keyed by ring so one socket can carry
+//     the frames of many rings:
 //       magic(0xA5) | version(2) | ring-id varint | sender varint |
-//       payload-length varint | payload bytes | crc32
-//     decode_frame_any() decodes both versions (a v1 frame reports ring 0),
-//     which is what lets the MultiRingReactor share sockets with the
-//     single-ring runtimes during a migration;
+//       payload-length varint | payload bytes | crc32 (little-endian,
+//       over everything before it)
+//     Version 2 is the only format; any other version byte (including the
+//     retired ring-less version 1) fails with kBadVersion;
 //   * per-protocol state payload codecs (SSRmin, K-state, dual K-state).
 //
-// decode_frame() never throws on malformed input: every parse failure —
+// decode_frame_any() never throws on malformed input: every parse failure —
 // truncation, bad magic, bad version, length mismatch, checksum mismatch —
 // returns std::nullopt with a reason, because "garbage from the network"
 // is an expected input, not a programming error.
@@ -65,30 +62,15 @@ enum class DecodeError {
 
 std::string to_string(DecodeError error);
 
-/// A decoded state frame.
-struct Frame {
-  std::uint64_t sender = 0;
-  Bytes payload;
-};
-
-/// A decoded frame from either wire version. A v1 frame reports version = 1
-/// and ring_id = 0 (single-ring runtimes predate the ring-id field).
+/// A decoded frame.
 struct FrameV2 {
-  std::uint8_t version = 2;
   std::uint64_t ring_id = 0;
   std::uint64_t sender = 0;
   Bytes payload;
 };
 
 inline constexpr std::uint8_t kMagic = 0xA5;
-inline constexpr std::uint8_t kVersion = 1;
 inline constexpr std::uint8_t kVersion2 = 2;
-
-/// Builds a complete frame around @p payload.
-Bytes encode_frame(std::uint64_t sender, ByteView payload);
-
-/// Parses a frame; on failure returns nullopt and sets @p error (if given).
-std::optional<Frame> decode_frame(ByteView data, DecodeError* error = nullptr);
 
 /// Appends a complete v2 frame (ring-id keyed) to @p out. The append form
 /// is the reactor's hot path: frames for one sendmmsg batch share a single
@@ -100,10 +82,8 @@ void encode_frame_v2_into(Bytes& out, std::uint64_t ring_id,
 Bytes encode_frame_v2(std::uint64_t ring_id, std::uint64_t sender,
                       ByteView payload);
 
-/// Parses a frame of either version: v2 yields its ring-id; a v1 frame is
-/// accepted for backward compatibility and reports ring_id = 0 with
-/// version = 1 (callers that care can dispatch on .version). Any other
-/// version byte fails with kBadVersion.
+/// Parses a frame; on failure returns nullopt and sets @p error (if
+/// given). A version byte other than kVersion2 fails with kBadVersion.
 std::optional<FrameV2> decode_frame_any(ByteView data,
                                         DecodeError* error = nullptr);
 
@@ -124,12 +104,5 @@ std::optional<dijkstra::KStateLocal> decode_kstate(ByteView payload);
 /// Dual K-state local state: varint a, varint b.
 Bytes encode_state(const dijkstra::DualLocal& state);
 std::optional<dijkstra::DualLocal> decode_dual(ByteView payload);
-
-/// Convenience: frame a protocol state directly.
-template <typename State>
-Bytes encode_state_frame(std::uint64_t sender, const State& state) {
-  const Bytes payload = encode_state(state);
-  return encode_frame(sender, payload);
-}
 
 }  // namespace ssr::wire

@@ -62,9 +62,12 @@ std::vector<Case> sweep() {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SsrConvergence, ::testing::ValuesIn(sweep()),
     [](const ::testing::TestParamInfo<Case>& param_info) {
-      std::string name = "n" + std::to_string(param_info.param.n) + "_" +
-                         param_info.param.daemon + "_s" +
-                         std::to_string(param_info.param.seed);
+      std::string name = std::string("n")
+                             .append(std::to_string(param_info.param.n))
+                             .append("_")
+                             .append(param_info.param.daemon)
+                             .append("_s")
+                             .append(std::to_string(param_info.param.seed));
       for (char& c : name) {
         if (c == '-') c = '_';
       }

@@ -48,7 +48,7 @@ std::string render_cell(const SsrMinRing& ring,
   if (ring.holds_secondary(config[i], config[stab::succ_index(i, n)]))
     cell += 'S';
   const int rule = engine.enabled_rule(i);
-  if (rule != stab::kDisabled) cell += "/" + std::to_string(rule);
+  if (rule != stab::kDisabled) cell.append("/").append(std::to_string(rule));
   return cell;
 }
 

@@ -77,8 +77,11 @@ std::vector<Case> cases() {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, LossRecovery, ::testing::ValuesIn(cases()),
     [](const ::testing::TestParamInfo<Case>& param_info) {
-      return "s" + std::to_string(param_info.param.seed) + "_loss" +
-             std::to_string(static_cast<int>(param_info.param.loss * 100));
+      return std::string("s")
+          .append(std::to_string(param_info.param.seed))
+          .append("_loss")
+          .append(
+              std::to_string(static_cast<int>(param_info.param.loss * 100)));
     });
 
 TEST(LossRecovery, HigherLossDelaysButDoesNotPreventStabilization) {

@@ -2,13 +2,24 @@
 // one event loop must each behave exactly like a single-ring runtime —
 // stabilize from arbitrary states, survive per-ring scripted faults, and
 // (virtual transport) reproduce telemetry byte-for-byte from the seed.
+// The one-ring UDP tests pin the loopback runtime behind `ssring run-udp`:
+// graceful handover over real sockets, CRC rejection, fault accounting and
+// a receive path that counts every malformed datagram.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <array>
 #include <chrono>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "core/state.hpp"
 #include "runtime/fault_plan.hpp"
+#include "runtime/net_util.hpp"
 #include "runtime/reactor.hpp"
+#include "wire/codec.hpp"
 
 namespace ssr::runtime {
 namespace {
@@ -171,6 +182,145 @@ TEST(MultiRing, UdpTransportHostsRingsOnSharedSockets) {
   // socket buffer).
   EXPECT_EQ(report.rings_legitimate, 64u);
   EXPECT_EQ(report.rings_with_holder, 64u);
+}
+
+// One SSRmin ring of four nodes over loopback UDP from the canonical
+// legitimate configuration, with its holder timeline recorded.
+ReactorConfig one_ring_udp_config(std::uint64_t seed, const char* plan = "") {
+  ReactorConfig config;
+  config.rings = 1;
+  config.nodes = 4;
+  config.transport = ReactorTransport::kUdp;
+  config.start = RingStart::kLegitimate;
+  config.refresh_interval = microseconds(1000);
+  config.seed = seed;
+  config.fault_plan = FaultPlan::parse(plan);
+  config.per_ring_telemetry = true;
+  return config;
+}
+
+// Theorem 3 over real sockets: at every holder transition of a legitimate
+// ring at least one and at most two nodes hold a token in their own view.
+TEST(MultiRingUdp, SingleRingHandsOverGracefully) {
+  MultiRingReactor reactor(one_ring_udp_config(3));
+  const ReactorReport report = reactor.run(milliseconds(500));
+  const Telemetry& telemetry = reactor.ring_telemetry(0);
+
+  EXPECT_EQ(telemetry.zero_holder_dwell_us(), 0.0);
+  EXPECT_GE(telemetry.min_holders(), 1u);
+  EXPECT_LE(telemetry.max_holders(), 2u);
+  EXPECT_GT(telemetry.handovers(), 0u);
+  EXPECT_GT(report.rule_executions, 10u);
+  EXPECT_EQ(report.rings_legitimate, 1u);
+}
+
+// Bit-flipped frames fail the CRC and are counted, never applied: the ring
+// keeps circulating and stays legitimate (corruption behaves as loss).
+TEST(MultiRingUdp, CorruptFramesAreRejectedByChecksum) {
+  MultiRingReactor reactor(one_ring_udp_config(7, "corrupt=0.3"));
+  const ReactorReport report = reactor.run(milliseconds(500));
+  const Telemetry& telemetry = reactor.ring_telemetry(0);
+
+  EXPECT_GT(report.frames_corrupted, 10u);
+  EXPECT_GT(report.frames_rejected, 10u);
+  EXPECT_GT(report.frames_received, 10u);
+  EXPECT_GT(report.rule_executions, 5u);
+  EXPECT_EQ(report.rings_legitimate, 1u);
+  // Loss may open brief stale-view windows; they must stay rare.
+  EXPECT_LT(telemetry.zero_holder_dwell_us(), 0.05 * telemetry.observed_us());
+}
+
+// Injector drops and transmissions are disjoint counts whose ratio sits
+// near the configured drop probability.
+TEST(MultiRingUdp, InjectorDropsAreCounted) {
+  MultiRingReactor reactor(one_ring_udp_config(9, "drop=0.25"));
+  const ReactorReport report = reactor.run(milliseconds(300));
+
+  EXPECT_GT(report.frames_dropped, 5u);
+  EXPECT_GT(report.frames_sent, 0u);
+  EXPECT_GT(report.rule_executions, 3u);
+  const double attempts =
+      static_cast<double>(report.frames_sent + report.frames_dropped);
+  EXPECT_NEAR(static_cast<double>(report.frames_dropped) / attempts, 0.25,
+              0.12);
+  EXPECT_EQ(report.rings_legitimate, 1u);
+}
+
+// A 50 ms blackout of every link: the ring keeps a holder through it and
+// the telemetry records the window as recovered.
+TEST(MultiRingUdp, BurstWindowRecoveryIsRecorded) {
+  MultiRingReactor reactor(one_ring_udp_config(17, "burst@40ms-90ms"));
+  const ReactorReport report = reactor.run(milliseconds(250));
+  const Telemetry& telemetry = reactor.ring_telemetry(0);
+
+  EXPECT_GT(report.frames_dropped, 5u);
+  EXPECT_LT(telemetry.zero_holder_dwell_us(), 0.05 * telemetry.observed_us());
+  ASSERT_EQ(telemetry.window_outcomes().size(), 1u);
+  EXPECT_TRUE(telemetry.window_outcomes()[0].recovered);
+  EXPECT_EQ(report.rings_legitimate, 1u);
+}
+
+// Builds a checksum-valid frame in the retired version-1 layout (no
+// ring-id field): magic | 1 | sender | length | payload | crc32.
+wire::Bytes v1_frame(std::uint64_t sender, const wire::Bytes& payload) {
+  wire::Bytes out{wire::kMagic, 1};
+  wire::put_varint(out, sender);
+  wire::put_varint(out, payload.size());
+  out.insert(out.end(), payload.begin(), payload.end());
+  const std::uint32_t crc = wire::crc32(out);
+  for (int shift = 0; shift < 32; shift += 8) {
+    out.push_back(static_cast<std::uint8_t>(crc >> shift));
+  }
+  return out;
+}
+
+// An outside socket lobs malformed datagrams at the shard socket while the
+// ring runs. Each class is rejected deterministically, so with no kernel
+// drops the rejection count is exactly the number sent only if every
+// class is counted; none of it may perturb the protocol.
+TEST(MultiRingUdp, HostileDatagramsAreCountedNotApplied) {
+  const wire::Bytes payload =
+      wire::encode_state(core::SsrState{1, true, false});
+  std::array<std::uint8_t, 32> garbage{};
+  for (std::size_t i = 0; i < garbage.size(); ++i) {
+    garbage[i] = static_cast<std::uint8_t>(0xA5u ^ i);
+  }
+  const std::vector<wire::Bytes> classes = {
+      {},                                    // zero-length
+      wire::Bytes(600, 0xA5),                // beyond the receive buffer
+      {garbage.begin(), garbage.end()},      // fails the frame CRC
+      v1_frame(0, payload),                  // retired wire version
+      wire::encode_frame_v2(1, 0, payload),  // ring id >= rings
+  };
+  constexpr std::size_t kCopies = 10;
+  const int attacker = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(attacker, 0);
+
+  MultiRingReactor reactor(one_ring_udp_config(15));
+  ReactorReport report;
+  std::thread runner([&] { report = reactor.run(milliseconds(300)); });
+  std::vector<std::uint16_t> ports;
+  while (ports.empty()) {
+    std::this_thread::sleep_for(milliseconds(1));
+    ports = reactor.udp_ports();
+  }
+  const sockaddr_in dst = loopback_address(ports[0]);
+  for (const wire::Bytes& datagram : classes) {
+    for (std::size_t i = 0; i < kCopies; ++i) {
+      EXPECT_EQ(::sendto(attacker, datagram.data(), datagram.size(), 0,
+                         reinterpret_cast<const sockaddr*>(&dst),
+                         sizeof(dst)),
+                static_cast<ssize_t>(datagram.size()));
+    }
+  }
+  runner.join();
+  ::close(attacker);
+
+  ASSERT_EQ(report.kernel_rx_drops, 0u);
+  EXPECT_EQ(report.frames_rejected, classes.size() * kCopies)
+      << "every class of malformed datagram must be counted";
+  EXPECT_EQ(report.rings_legitimate, 1u);
+  EXPECT_EQ(reactor.ring_telemetry(0).zero_holder_dwell_us(), 0.0);
 }
 
 // validate() rejects geometries the table cannot host.

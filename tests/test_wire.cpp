@@ -61,82 +61,60 @@ TEST(Crc32, EmptyIsZero) {
   EXPECT_EQ(crc32(Bytes{}), 0u);
 }
 
-TEST(Frame, RoundTrip) {
-  const Bytes payload{1, 2, 3, 4, 5};
-  const Bytes framed = encode_frame(42, payload);
-  DecodeError error{};
-  const auto frame = decode_frame(framed, &error);
-  ASSERT_TRUE(frame.has_value()) << to_string(error);
-  EXPECT_EQ(frame->sender, 42u);
-  EXPECT_EQ(frame->payload, payload);
+// Builds the bytes of a retired version-1 frame (no ring-id field) by
+// hand: magic | 1 | sender | length | payload | crc32.
+Bytes v1_frame(std::uint64_t sender, const Bytes& payload) {
+  Bytes out{kMagic, 1};
+  put_varint(out, sender);
+  put_varint(out, payload.size());
+  out.insert(out.end(), payload.begin(), payload.end());
+  const std::uint32_t crc = crc32(out);
+  for (int shift = 0; shift < 32; shift += 8) {
+    out.push_back(static_cast<std::uint8_t>(crc >> shift));
+  }
+  return out;
 }
 
 TEST(Frame, EmptyPayloadAllowed) {
-  const Bytes framed = encode_frame(7, Bytes{});
-  const auto frame = decode_frame(framed);
+  const Bytes framed = encode_frame_v2(4, 7, Bytes{});
+  const auto frame = decode_frame_any(framed);
   ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->ring_id, 4u);
+  EXPECT_EQ(frame->sender, 7u);
   EXPECT_TRUE(frame->payload.empty());
 }
 
 TEST(Frame, RejectsBadMagic) {
-  Bytes framed = encode_frame(1, Bytes{9});
+  Bytes framed = encode_frame_v2(2, 1, Bytes{9});
   framed[0] = 0x00;
   DecodeError error{};
-  EXPECT_EQ(decode_frame(framed, &error), std::nullopt);
+  EXPECT_EQ(decode_frame_any(framed, &error), std::nullopt);
   EXPECT_EQ(error, DecodeError::kBadMagic);
 }
 
-TEST(Frame, RejectsBadVersion) {
-  Bytes framed = encode_frame(1, Bytes{9});
-  framed[1] = 99;
+TEST(Frame, RejectsShortInputAsTruncated) {
+  const Bytes framed = encode_frame_v2(2, 1, Bytes{9});
   DecodeError error{};
-  EXPECT_EQ(decode_frame(framed, &error), std::nullopt);
-  EXPECT_EQ(error, DecodeError::kBadVersion);
+  EXPECT_EQ(decode_frame_any(ByteView(framed.data(), 4), &error),
+            std::nullopt);
+  EXPECT_EQ(error, DecodeError::kTruncated);
 }
 
 TEST(Frame, RejectsTruncation) {
-  Bytes framed = encode_frame(1, Bytes{9, 9, 9});
+  Bytes framed = encode_frame_v2(2, 1, Bytes{9, 9, 9});
   framed.resize(framed.size() - 2);
   DecodeError error{};
-  EXPECT_EQ(decode_frame(framed, &error), std::nullopt);
-  EXPECT_NE(error, DecodeError::kNone);
+  EXPECT_EQ(decode_frame_any(framed, &error), std::nullopt);
+  EXPECT_EQ(error, DecodeError::kBadLength);
 }
 
 TEST(Frame, RejectsPayloadBitFlip) {
-  Bytes framed = encode_frame(1, Bytes{0xAA, 0xBB});
+  Bytes framed = encode_frame_v2(2, 1, Bytes{0xAA, 0xBB});
   // Flip a payload bit; the CRC must catch it.
   framed[framed.size() - 5] ^= 0x01;
   DecodeError error{};
-  EXPECT_EQ(decode_frame(framed, &error), std::nullopt);
+  EXPECT_EQ(decode_frame_any(framed, &error), std::nullopt);
   EXPECT_EQ(error, DecodeError::kBadChecksum);
-}
-
-TEST(Frame, CorruptBitsAlwaysDetectedOrHarmless) {
-  // Property: a frame with any small number of flipped bits either fails
-  // to decode, or (vanishingly unlikely with CRC-32, impossible for 1-2
-  // flips) decodes to the original content. It must never decode to
-  // *different* content.
-  Rng rng(77);
-  const core::SsrState state{5, true, false};
-  for (int trial = 0; trial < 2000; ++trial) {
-    Bytes framed = encode_state_frame(3, state);
-    corrupt_bits(framed, rng, 1 + rng.below(3));
-    const auto frame = decode_frame(framed);
-    if (!frame.has_value()) continue;
-    const auto decoded = decode_ssr_state(frame->payload);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(*decoded, state);
-    EXPECT_EQ(frame->sender, 3u);
-  }
-}
-
-TEST(Frame, RandomGarbageNeverCrashes) {
-  Rng rng(99);
-  for (int trial = 0; trial < 5000; ++trial) {
-    Bytes junk(rng.below(64));
-    for (auto& b : junk) b = static_cast<std::uint8_t>(rng.below(256));
-    EXPECT_NO_THROW({ (void)decode_frame(junk); });
-  }
 }
 
 TEST(FrameV2, RoundTrip) {
@@ -150,7 +128,6 @@ TEST(FrameV2, RoundTrip) {
       DecodeError error{};
       const auto frame = decode_frame_any(framed, &error);
       ASSERT_TRUE(frame.has_value()) << to_string(error);
-      EXPECT_EQ(frame->version, kVersion2);
       EXPECT_EQ(frame->ring_id, ring);
       EXPECT_EQ(frame->sender, sender);
       EXPECT_EQ(frame->payload, payload);
@@ -158,25 +135,12 @@ TEST(FrameV2, RoundTrip) {
   }
 }
 
-TEST(FrameV2, DecodeAnyAcceptsV1) {
-  // Backward compatibility: a frame from the single-ring runtimes decodes
-  // through decode_frame_any with ring_id 0 and version 1.
-  const Bytes payload{1, 2, 3};
-  const Bytes framed = encode_frame(42, payload);
-  const auto frame = decode_frame_any(framed);
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->version, kVersion);
-  EXPECT_EQ(frame->ring_id, 0u);
-  EXPECT_EQ(frame->sender, 42u);
-  EXPECT_EQ(frame->payload, payload);
-}
-
-TEST(FrameV2, V1DecoderRejectsV2WithBadVersion) {
-  // The legacy decoder must reject-and-name v2 frames so a mixed deployment
-  // counts them instead of misparsing them.
-  const Bytes framed = encode_frame_v2(7, 1, Bytes{9});
+TEST(FrameV2, DecodeAnyRejectsV1WithBadVersion) {
+  // The ring-less version-1 format is retired: a checksum-valid v1 frame
+  // is named as a version mismatch, never misparsed as a v2 frame.
+  const Bytes framed = v1_frame(42, Bytes{1, 2, 3});
   DecodeError error{};
-  EXPECT_EQ(decode_frame(framed, &error), std::nullopt);
+  EXPECT_EQ(decode_frame_any(framed, &error), std::nullopt);
   EXPECT_EQ(error, DecodeError::kBadVersion);
 }
 
@@ -200,8 +164,9 @@ TEST(FrameV2, EveryTruncationRejected) {
 }
 
 TEST(FrameV2, CorruptBitsDetectedOrHarmless) {
-  // Same CRC property as v1: flipped bits either fail the decode or leave
-  // the content untouched — never a *different* ring/sender/payload.
+  // Property: a frame with a few flipped bits either fails to decode, or
+  // (vanishingly unlikely with CRC-32, impossible for 1-2 flips) decodes
+  // to the original content — never a *different* ring/sender/payload.
   Rng rng(123);
   const core::SsrState state{4, false, true};
   const Bytes payload = encode_state(state);
