@@ -25,7 +25,7 @@
 // `rss_mib` the process high-water RSS when the row finished — monotone
 // across rows, so read it as an upper bound, not a per-row delta.
 //
-// `--smoke` runs a minimal quad-mode pass (for the sanitizer CI job),
+// `--smoke` runs a minimal tri-mode pass (for the sanitizer CI job),
 // cross-checks the sliced Phase A against the scalar sweep for report
 // identity, forces a kAuto spill under a tight budget, and prints peak
 // RSS.
@@ -108,6 +108,31 @@ void add_trajectory_row(ssr::TextTable& trajectory, const std::string& name,
       .cell(phase_a_lanes(r));
 }
 
+/// One E3 table row plus its BENCH_modelcheck.json trajectory row.
+void add_rows(ssr::TextTable& table, ssr::TextTable& trajectory,
+              const std::string& name, std::size_t n, std::uint32_t K,
+              const ssr::verify::CheckReport& r, std::size_t threads,
+              double ms) {
+  table.row()
+      .cell(name)
+      .cell(n)
+      .cell(K)
+      .cell(r.total_configs)
+      .cell(r.legitimate_configs)
+      .cell(threads)
+      .cell(ssr::verify::to_string(r.stats.mode))
+      .cell(phase_a_backend(r))
+      .cell(r.deadlock_free)
+      .cell(r.closure_holds)
+      .cell(r.token_bounds_hold)
+      .cell(r.convergence_holds)
+      .cell(r.worst_case_steps)
+      .cell(r.min_privileged_anywhere)
+      .cell(static_cast<double>(r.stats.measured_peak_bytes) / kMiB, 1)
+      .cell(ms, 0);
+  add_trajectory_row(trajectory, name, n, K, r, threads, ms);
+}
+
 template <typename Checker>
 void run_row(ssr::TextTable& table, ssr::TextTable& trajectory,
              const std::string& name, std::size_t n, std::uint32_t K,
@@ -120,34 +145,14 @@ void run_row(ssr::TextTable& table, ssr::TextTable& trajectory,
     double ms = 0.0;
     const ssr::verify::CheckReport r =
         run_once(checker, options, threads, storage, ms);
-    const double peak_mib =
-        static_cast<double>(r.stats.measured_peak_bytes) / kMiB;
-    table.row()
-        .cell(name)
-        .cell(n)
-        .cell(K)
-        .cell(r.total_configs)
-        .cell(r.legitimate_configs)
-        .cell(threads)
-        .cell(ssr::verify::to_string(r.stats.mode))
-        .cell(phase_a_backend(r))
-        .cell(r.deadlock_free)
-        .cell(r.closure_holds)
-        .cell(r.token_bounds_hold)
-        .cell(r.convergence_holds)
-        .cell(r.worst_case_steps)
-        .cell(r.min_privileged_anywhere)
-        .cell(peak_mib, 1)
-        .cell(ms, 0);
-    add_trajectory_row(trajectory, name, n, K, r, threads, ms);
+    add_rows(table, trajectory, name, n, K, r, threads, ms);
   }
 }
 
-/// The headline perf_opt claim: on the same space, the compressed Phase B
-/// holds a small fraction of the legacy CSR's bytes at comparable wall
-/// time, and the spill tier keeps even less resident by streaming the
-/// move records through disk. Runs the space in every storage mode at the
-/// given thread counts and prints the peak ratios.
+/// One space in every storage mode at the given thread counts, with the
+/// resident peaks side by side: compressed keeps the move records in RAM,
+/// csr-free stores no edges and re-derives them, and spill streams the
+/// records through disk, keeping only their offset index resident.
 template <typename Checker>
 void run_mode_comparison(ssr::TextTable& table, ssr::TextTable& trajectory,
                          const std::string& name, std::size_t n,
@@ -156,10 +161,7 @@ void run_mode_comparison(ssr::TextTable& table, ssr::TextTable& trajectory,
                          const std::vector<std::size_t>& threads_list) {
   using ssr::verify::PhaseBStorage;
   for (std::size_t threads : threads_list) {
-    double legacy_ms = 0.0, compressed_ms = 0.0, csrfree_ms = 0.0,
-           spill_ms = 0.0;
-    const auto legacy = run_once(checker, options, threads,
-                                 PhaseBStorage::kLegacyCsr, legacy_ms);
+    double compressed_ms = 0.0, csrfree_ms = 0.0, spill_ms = 0.0;
     const auto compressed = run_once(checker, options, threads,
                                      PhaseBStorage::kCompressed,
                                      compressed_ms);
@@ -167,49 +169,25 @@ void run_mode_comparison(ssr::TextTable& table, ssr::TextTable& trajectory,
                                   PhaseBStorage::kCsrFree, csrfree_ms);
     const auto spill = run_once(checker, options, threads,
                                 PhaseBStorage::kSpill, spill_ms);
-    for (const auto* pair : {&legacy, &compressed, &csrfree, &spill}) {
-      const ssr::verify::CheckReport& r = *pair;
-      const double ms = (pair == &legacy)       ? legacy_ms
-                        : (pair == &compressed) ? compressed_ms
-                        : (pair == &csrfree)    ? csrfree_ms
-                                                : spill_ms;
-      const double peak_mib =
-          static_cast<double>(r.stats.measured_peak_bytes) / kMiB;
-      table.row()
-          .cell(name)
-          .cell(n)
-          .cell(K)
-          .cell(r.total_configs)
-          .cell(r.legitimate_configs)
-          .cell(threads)
-          .cell(ssr::verify::to_string(r.stats.mode))
-          .cell(phase_a_backend(r))
-          .cell(r.deadlock_free)
-          .cell(r.closure_holds)
-          .cell(r.token_bounds_hold)
-          .cell(r.convergence_holds)
-          .cell(r.worst_case_steps)
-          .cell(r.min_privileged_anywhere)
-          .cell(peak_mib, 1)
-          .cell(ms, 0);
-      add_trajectory_row(trajectory, name, n, K, r, threads, ms);
-    }
-    const double mem_ratio =
-        static_cast<double>(legacy.stats.measured_peak_bytes) /
-        static_cast<double>(compressed.stats.measured_peak_bytes);
+    add_rows(table, trajectory, name, n, K, compressed, threads,
+             compressed_ms);
+    add_rows(table, trajectory, name, n, K, csrfree, threads, csrfree_ms);
+    add_rows(table, trajectory, name, n, K, spill, threads, spill_ms);
     char line[320];
     std::snprintf(line, sizeof(line),
-                  "mode comparison %s(%zu,%u) threads=%zu: peak "
-                  "legacy/compressed = %.1fx, wall compressed/legacy = "
-                  "%.2fx, csr-free peak = %.1f MiB, spill peak = %.1f MiB "
-                  "(+%.1f MiB on disk, read-amp %.2fx)\n",
-                  name.c_str(), n, K, threads, mem_ratio,
-                  compressed_ms / legacy_ms,
+                  "mode comparison %s(%zu,%u) threads=%zu: peak compressed "
+                  "= %.1f MiB vs csr-free = %.1f MiB vs spill = %.1f MiB "
+                  "(+%.1f MiB on disk, read-amp %.2fx); wall "
+                  "%.0f / %.0f / %.0f ms\n",
+                  name.c_str(), n, K, threads,
+                  static_cast<double>(compressed.stats.measured_peak_bytes) /
+                      kMiB,
                   static_cast<double>(csrfree.stats.measured_peak_bytes) /
                       kMiB,
                   static_cast<double>(spill.stats.measured_peak_bytes) / kMiB,
                   static_cast<double>(spill.stats.spill_bytes) / kMiB,
-                  spill.stats.read_amplification);
+                  spill.stats.read_amplification, compressed_ms, csrfree_ms,
+                  spill_ms);
     std::cout << line;
   }
 }
@@ -233,29 +211,8 @@ void run_phase_a_comparison(ssr::TextTable& table, ssr::TextTable& trajectory,
                                ssr::verify::PhaseBStorage::kAuto, scalar_ms);
   const auto sliced = run_once(checker, sliced_options, threads,
                                ssr::verify::PhaseBStorage::kAuto, sliced_ms);
-  for (const auto* r : {&scalar, &sliced}) {
-    const double ms = (r == &scalar) ? scalar_ms : sliced_ms;
-    const double peak_mib =
-        static_cast<double>(r->stats.measured_peak_bytes) / kMiB;
-    table.row()
-        .cell(name)
-        .cell(n)
-        .cell(K)
-        .cell(r->total_configs)
-        .cell(r->legitimate_configs)
-        .cell(threads)
-        .cell(ssr::verify::to_string(r->stats.mode))
-        .cell(phase_a_backend(*r))
-        .cell(r->deadlock_free)
-        .cell(r->closure_holds)
-        .cell(r->token_bounds_hold)
-        .cell(r->convergence_holds)
-        .cell(r->worst_case_steps)
-        .cell(r->min_privileged_anywhere)
-        .cell(peak_mib, 1)
-        .cell(ms, 0);
-    add_trajectory_row(trajectory, name, n, K, *r, threads, ms);
-  }
+  add_rows(table, trajectory, name, n, K, scalar, threads, scalar_ms);
+  add_rows(table, trajectory, name, n, K, sliced, threads, sliced_ms);
   const bool identical = scalar.summary() == sliced.summary();
   char line[256];
   std::snprintf(line, sizeof(line),
@@ -269,15 +226,15 @@ void run_phase_a_comparison(ssr::TextTable& table, ssr::TextTable& trajectory,
 
 int run_smoke() {
   using namespace ssr;
-  std::cout << "bench_modelcheck --smoke: quad-mode sanity pass\n";
+  std::cout << "bench_modelcheck --smoke: tri-mode sanity pass\n";
   verify::CheckOptions ssr_options;
   verify::CheckOptions dij_options;
   dij_options.min_privileged = 1;
   dij_options.max_privileged = 1;
   int failures = 0;
   for (verify::PhaseBStorage storage :
-       {verify::PhaseBStorage::kLegacyCsr, verify::PhaseBStorage::kCompressed,
-        verify::PhaseBStorage::kCsrFree, verify::PhaseBStorage::kSpill}) {
+       {verify::PhaseBStorage::kCompressed, verify::PhaseBStorage::kCsrFree,
+        verify::PhaseBStorage::kSpill}) {
     for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
       double ms = 0.0;
       const auto ssrmin = run_once(verify::make_ssrmin_checker(3, 4),
@@ -388,7 +345,7 @@ int main(int argc, char** argv) {
             verify::make_ssrmin_checker(4, 7), ssr_options);
     // The big one: 24^5 ≈ 8M configurations, every distributed-daemon
     // subset choice — run in all three storage modes at 1 and 2 workers
-    // so the legacy/compressed peak-memory ratio is pinned in the output.
+    // so the per-mode resident peaks are pinned in the output.
     run_mode_comparison(table, trajectory, "ssrmin", 5, 6,
                         verify::make_ssrmin_checker(5, 6), ssr_options,
                         {1, 2});
@@ -415,12 +372,13 @@ int main(int argc, char** argv) {
   if (bench::full_mode()) {
     run_row(table, trajectory, "dijkstra", 8, 9,
             verify::make_kstate_checker(8, 9), dij_options);
-    // The Hoepman K = N boundary at a size the CSR could still hold...
+    // The Hoepman K = N boundary at a size an explicit edge list could
+    // still hold...
     run_row(table, trajectory, "dijkstra", 8, 8,
             verify::make_kstate_checker(8, 8), dij_options);
     // ...and one it could not: 9^9 ≈ 387M configurations with ~69G
-    // daemon-subset edges. The legacy CSR would need ~0.5TiB; the slim
-    // backends fit in a few GiB, so this row exists only post-compression.
+    // daemon-subset edges. A 4-byte-per-edge predecessor CSR would need
+    // ~0.5TiB; the per-source move records fit in a few GiB.
     run_row(table, trajectory, "dijkstra", 9, 9,
             verify::make_kstate_checker(9, 9), dij_options);
   }

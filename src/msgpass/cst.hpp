@@ -23,35 +23,22 @@
 // may be active. The simulation integrates, over simulated time, how long
 // the system spends with zero / one / two token holders.
 //
-// Execution engine (see pdes.hpp for the synchronization and determinism
-// contract): the ring is cut into NetworkParams::workers contiguous arcs,
-// each owned by one worker with its own event heap, payload slab and flip
-// log. Per round, the coordinator computes the global minimum pending
-// event time T_next, every worker processes its events with time in
-// [T_next, T_next + delay_min) — safe because a message needs at least
-// delay_min to cross any link, including the two boundary links of each
-// arc — and boundary deliveries are exchanged at the barrier. All
-// randomness comes from per-node streams (stream_rng(seed, i)), all event
-// keys are (time, creator, seq), and all order-sensitive statistics are
-// reduced from a key-ordered merge, so results are byte-identical at any
-// worker count. A node's predicate depends only on its own state and
-// caches, so each event can flip only the acting node's token bit; the
-// engine evaluates one predicate per event instead of the legacy O(n)
-// holder rescan, which is what makes million-node rings tractable.
-//
-// Because every node draws from its own stream, trajectories differ from
-// the pre-sharding engine (which pulled all draws from one global stream
-// in event order — inherently sequential); statistical behaviour is
-// unchanged and workers=1 is the reference the differential tests pin
-// workers=2/8 against.
+// Execution engine: pdes::ShardedEngine (see pdes.hpp for the
+// synchronization and determinism contract) cuts the ring into
+// NetworkParams::workers contiguous arcs and runs the conservative rounds,
+// with lookahead delay_min — a message needs at least delay_min to cross
+// any link, including the two boundary links of each arc. This class
+// supplies only the protocol: event dispatch, link discipline, fault
+// injection and caches. All randomness comes from per-node streams
+// (stream_rng(seed, i)), so results are byte-identical at any worker
+// count. A node's predicate depends only on its own state and caches, so
+// each event can flip only the acting node's token bit: one predicate
+// evaluation per event, which is what makes million-node rings tractable.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -60,7 +47,6 @@
 #include "stabilizing/protocol.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ssr::msgpass {
 
@@ -124,41 +110,6 @@ struct NetworkParams {
   double draw_delay(Rng& rng) const;
 };
 
-/// Aggregate results of a simulation window.
-struct CoverageStats {
-  Time observed_time = 0.0;     ///< simulated time integrated
-  Time zero_token_time = 0.0;   ///< time with no token-holding node
-  std::size_t zero_intervals = 0;  ///< maximal intervals with zero holders
-  /// Extremes of the holder count over the window, the window's initial
-  /// count included.
-  std::size_t min_holders = std::numeric_limits<std::size_t>::max();
-  std::size_t max_holders = 0;
-  std::uint64_t events = 0;
-  std::uint64_t deliveries = 0;
-  std::uint64_t transmissions = 0;  ///< sends that entered a link
-  std::uint64_t losses = 0;         ///< random + window-dropped + corrupted
-  std::uint64_t rule_executions = 0;
-  std::uint64_t crash_restarts = 0;
-  /// Number of times the set of token-holding nodes changed.
-  std::uint64_t handovers = 0;
-
-  /// Fraction of observed time with at least one holder (the paper's
-  /// continuous-observation guarantee).
-  double coverage() const {
-    return observed_time > 0.0 ? 1.0 - zero_token_time / observed_time : 1.0;
-  }
-};
-
-/// Resolves a NetworkParams::workers request against a node count.
-inline std::size_t resolve_workers(std::size_t requested, std::size_t n) {
-  std::size_t w = requested != 0
-                      ? requested
-                      : std::max<std::size_t>(
-                            1, std::thread::hardware_concurrency());
-  w = std::min<std::size_t>(w, 1024);  // ThreadPool's own cap
-  return std::max<std::size_t>(1, std::min(w, n));
-}
-
 /// CST execution of a RingProtocol over the event-driven network.
 template <stab::RingProtocol P>
 class CstSimulation {
@@ -186,43 +137,25 @@ class CstSimulation {
     const std::size_t n = states_.size();
     SSR_REQUIRE(n < (std::size_t{1} << 32),
                 "ring size must fit the 32-bit event-key node field");
-    workers_ = resolve_workers(params_.workers, n);
-    layout_ = pdes::ShardLayout(n, workers_);
-
     cache_pred_.resize(n);
     cache_succ_.resize(n);
     make_caches_coherent();
-    link_busy_.assign(2 * n, 0);
-    link_has_pending_.assign(2 * n, 0);
-    link_pending_.resize(2 * n);
+    links_.resize(2 * n);
     exec_pending_.assign(n, 0);
-    node_seq_.assign(n, 0);
-    node_rng_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      node_rng_.push_back(stream_rng(params_.seed, i));
+    // Steady-state in-flight events per node: one timer, at most one
+    // pending execution, two incoming deliveries plus the matching
+    // link-free records; ghosts and bursts spill past the reserve.
+    engine_ = Engine(n, resolve_workers(params_.workers, n), params_.delay_min,
+                     params_.seed, [](std::size_t lo, std::size_t hi) {
+                       return pdes::ShardReserve{6 * (hi - lo) + 64,
+                                                 2 * (hi - lo) + 16};
+                     });
 
-    shards_.resize(workers_);
-    for (std::size_t s = 0; s < workers_; ++s) {
-      Shard& sh = shards_[s];
-      sh.id = s;
-      sh.lo = layout_.begin(s);
-      sh.hi = layout_.end(s);
-      const std::size_t span = sh.hi - sh.lo;
-      // Steady-state in-flight events per node: one timer, at most one
-      // pending execution, two incoming deliveries plus the matching
-      // link-free records; ghosts and bursts spill past the reserve.
-      sh.heap = pdes::make_heap_reserved(6 * span + 64);
-      sh.slab.reserve(2 * span + 16);
-      sh.outbox.resize(workers_);
-    }
     for (std::size_t i = 0; i < n; ++i) {
-      Shard& sh = shards_[layout_.shard_of(i)];
-      Rng& rng = node_rng_[i];
-      pdes::HeapRec timer;
-      timer.time = rng.uniform01() * params_.refresh_interval;
-      timer.order = pdes::make_order(i, node_seq_[i]++);
-      timer.kind = pdes::EvKind::kTimer;
-      sh.heap.push(timer);
+      Shard& sh = engine_.shard_of(i);
+      engine_.schedule(sh, i,
+                       engine_.rng(i).uniform01() * params_.refresh_interval,
+                       pdes::EvKind::kTimer);
       maybe_schedule_execution(sh, i, 0.0);
     }
     holders_.assign(n, false);
@@ -231,12 +164,14 @@ class CstSimulation {
   }
 
   std::size_t size() const { return states_.size(); }
-  Time now() const { return now_; }
+  Time now() const { return engine_.now(); }
   /// Current simulated time on the fault/telemetry clock (microseconds).
-  double fault_clock_us() const { return now_ * params_.microseconds_per_tick; }
+  double fault_clock_us() const {
+    return engine_.now() * params_.microseconds_per_tick;
+  }
   const P& protocol() const { return protocol_; }
   /// Resolved shard count the engine actually runs with.
-  std::size_t workers() const { return workers_; }
+  std::size_t workers() const { return engine_.workers(); }
 
   /// True state of node i (omniscient view).
   const State& node_state(std::size_t i) const { return states_.at(i); }
@@ -297,7 +232,8 @@ class CstSimulation {
   /// Runs until simulated time advances by @p duration, accumulating
   /// coverage statistics for the window.
   CoverageStats run(Time duration) {
-    return run_impl(now_ + duration, [](const CstSimulation&) { return false; });
+    return run_until([](const CstSimulation&) { return false; },
+                     now() + duration, nullptr);
   }
 
   /// Runs until @p stop(*this) holds or the deadline passes. The predicate
@@ -307,8 +243,11 @@ class CstSimulation {
   /// stopped_early tells which.
   template <typename StopFn>
   CoverageStats run_until(StopFn&& stop, Time deadline, bool* stopped_early) {
-    CoverageStats s = run_impl(deadline, std::forward<StopFn>(stop));
-    if (stopped_early != nullptr) *stopped_early = stopped_;
+    CoverageStats s = engine_.run(
+        deadline, holder_count_, &holders_, &observer_,
+        [this](Shard& sh, const pdes::HeapRec& rec) { dispatch(sh, rec); },
+        [&] { return stop(*this); });
+    if (stopped_early != nullptr) *stopped_early = engine_.stopped();
     return s;
   }
 
@@ -316,27 +255,8 @@ class CstSimulation {
   /// Direction of an outgoing link.
   enum class Dir : std::uint8_t { kToPred = 0, kToSucc = 1 };
 
-  /// A delivery crossing a shard boundary, staged in the sender shard's
-  /// outbox until the round barrier.
-  struct BoundaryFrame {
-    Time time = 0.0;
-    std::uint64_t order = 0;
-    State payload{};
-    std::uint8_t dir = 0;
-    std::uint8_t flags = 0;
-  };
-
-  struct alignas(64) Shard {
-    std::size_t id = 0;
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-    pdes::EventHeap heap;
-    pdes::PayloadSlab<State> slab;
-    std::vector<pdes::FlipEntry> flips;
-    std::vector<std::vector<BoundaryFrame>> outbox;  ///< per dest shard
-    Time clock = 0.0;  ///< last popped event time (monotonicity guard)
-    pdes::ShardCounters ctr;
-  };
+  using Engine = pdes::ShardedEngine<State>;
+  using Shard = typename Engine::ShardT;
 
   std::size_t neighbor(std::size_t i, Dir d) const {
     const std::size_t n = states_.size();
@@ -365,20 +285,21 @@ class CstSimulation {
   /// parks it as pending if the link is occupied (overwriting any older
   /// pending value — only the newest state matters).
   void send(Shard& sh, std::size_t i, Dir d, Time now) {
-    const std::size_t idx = link_index(i, d);
-    if (link_busy_[idx]) {
-      link_pending_[idx] = states_[i];
-      link_has_pending_[idx] = 1;
-      return;
+    if (links_.claim_or_park(link_index(i, d), states_[i])) {
+      transmit(sh, i, d, states_[i], now);
     }
-    transmit(sh, i, d, states_[i], now);
   }
 
+  void broadcast(Shard& sh, std::size_t i, Time now) {
+    send(sh, i, Dir::kToPred, now);
+    send(sh, i, Dir::kToSucc, now);
+  }
+
+  /// Puts @p payload on node i's claimed link in direction d.
   void transmit(Shard& sh, std::size_t i, Dir d, const State& payload,
                 Time now) {
-    link_busy_[link_index(i, d)] = 1;
     ++sh.ctr.transmissions;
-    Rng& rng = node_rng_[i];
+    Rng& rng = engine_.rng(i);
     double delay = params_.draw_delay(rng);
     std::uint8_t flags = 0;
     if (rng.bernoulli(params_.loss_probability)) flags |= pdes::kEvLost;
@@ -399,36 +320,18 @@ class CstSimulation {
         delay += params_.draw_delay(rng) + params_.draw_delay(rng);
       }
     }
-    // delay >= delay_min in every model, so arrive lands at or beyond the
-    // current round's horizon whenever it crosses a shard boundary.
-    const Time arrive = pdes::advance_time(now, delay);
-    const std::uint32_t delivery_seq = node_seq_[i]++;
-    const std::uint32_t free_seq = node_seq_[i]++;
-    const std::uint64_t order = pdes::make_order(i, delivery_seq);
-    const std::size_t dest_shard = layout_.shard_of(dest);
-    if (dest_shard == sh.id) {
-      pdes::HeapRec rec;
-      rec.time = arrive;
-      rec.order = order;
-      rec.slot =
-          (flags & pdes::kEvLost) ? pdes::kNoSlot : sh.slab.intern(payload);
-      rec.kind = pdes::EvKind::kDelivery;
-      rec.dir = static_cast<std::uint8_t>(d);
-      rec.flags = flags;
-      sh.heap.push(rec);
-    } else {
-      sh.outbox[dest_shard].push_back(
-          {arrive, order, payload, static_cast<std::uint8_t>(d), flags});
-    }
-    // The sender frees its own link when the transmission completes — the
-    // legacy engine mutated the sender's link from the receiver's delivery
-    // handler, which would be a cross-shard write.
-    pdes::HeapRec link_free;
-    link_free.time = arrive;
-    link_free.order = pdes::make_order(i, free_seq);
-    link_free.kind = pdes::EvKind::kLinkFree;
-    link_free.dir = static_cast<std::uint8_t>(d);
-    sh.heap.push(link_free);
+    // delay >= delay_min in every model, so the delivery lands at or beyond
+    // the current round's horizon whenever it crosses a shard boundary.
+    pdes::HeapRec rec;
+    rec.time = pdes::advance_time(now, delay);
+    rec.order = engine_.next_order(i);
+    rec.kind = pdes::EvKind::kDelivery;
+    rec.dir = static_cast<std::uint8_t>(d);
+    rec.flags = flags;
+    engine_.route(sh, dest, rec, payload);
+    // The sender frees its own link when the transmission completes, so
+    // the receiver's shard never writes the sender's link state.
+    engine_.schedule(sh, i, rec.time, pdes::EvKind::kLinkFree, rec.dir);
   }
 
   /// If a rule is enabled at node i and no execution is already pending,
@@ -440,13 +343,10 @@ class CstSimulation {
     if (rule == stab::kDisabled) return;
     exec_pending_[i] = 1;
     const double service =
-        params_.service_min +
-        node_rng_[i].uniform01() * (params_.service_max - params_.service_min);
-    pdes::HeapRec rec;
-    rec.time = pdes::advance_time(now, service);
-    rec.order = pdes::make_order(i, node_seq_[i]++);
-    rec.kind = pdes::EvKind::kExecute;
-    sh.heap.push(rec);
+        params_.service_min + engine_.rng(i).uniform01() *
+                                  (params_.service_max - params_.service_min);
+    engine_.schedule(sh, i, pdes::advance_time(now, service),
+                     pdes::EvKind::kExecute);
   }
 
   /// Algorithm 4 "on receipt": cache update, one rule execution, broadcast.
@@ -470,18 +370,17 @@ class CstSimulation {
     // The ghost is created (and keyed) by the receiver: it is a local
     // artifact of the receiver's radio, not a second transmission.
     if (!(rec.flags & pdes::kEvDuplicate)) {
-      Rng& rng = node_rng_[v];
+      Rng& rng = engine_.rng(v);
       const bool dup = rng.bernoulli(params_.duplicate_probability) ||
                        (rec.flags & pdes::kEvForceDuplicate) != 0;
       if (dup) {
         pdes::HeapRec ghost;
         ghost.time = pdes::advance_time(rec.time, params_.draw_delay(rng));
-        ghost.order = pdes::make_order(v, node_seq_[v]++);
-        ghost.slot = sh.slab.intern(payload);
+        ghost.order = engine_.next_order(v);
         ghost.kind = pdes::EvKind::kDelivery;
         ghost.dir = rec.dir;
         ghost.flags = pdes::kEvDuplicate;
-        sh.heap.push(ghost);
+        sh.push_delivery(ghost, payload);
       }
     }
     // The message came from our predecessor iff the sender sent toward its
@@ -492,8 +391,7 @@ class CstSimulation {
       cache_succ_[v] = payload;
     }
     maybe_schedule_execution(sh, v, rec.time);
-    send(sh, v, Dir::kToPred, rec.time);
-    send(sh, v, Dir::kToSucc, rec.time);
+    broadcast(sh, v, rec.time);
   }
 
   /// The deferred rule execution: re-evaluate against the current caches
@@ -513,47 +411,33 @@ class CstSimulation {
     states_[v] =
         protocol_.apply(v, rule, states_[v], cache_pred_[v], cache_succ_[v]);
     ++sh.ctr.rule_executions;
-    send(sh, v, Dir::kToPred, now);
-    send(sh, v, Dir::kToSucc, now);
+    broadcast(sh, v, now);
     // Convergence rules can chain (e.g. Rule 5 then Rule 3) without any
     // further message arriving; keep the node scheduled while enabled.
     maybe_schedule_execution(sh, v, now);
   }
 
   void handle_timer(Shard& sh, std::size_t v, Time now, bool down) {
-    pdes::HeapRec next;
-    next.kind = pdes::EvKind::kTimer;
-    if (down) {
-      // The radio is off; keep the timer armed so the node resumes
-      // broadcasting when the window closes. (Its outgoing frames would be
-      // window-dropped at the injector anyway.)
-      next.time = pdes::advance_time(now, params_.refresh_interval);
-      next.order = pdes::make_order(v, node_seq_[v]++);
-      sh.heap.push(next);
-      return;
+    double period = params_.refresh_interval;
+    if (!down) {
+      broadcast(sh, v, now);
+      // Mild jitter avoids artificial lock-step among the nodes' timers.
+      period *= 0.9 + 0.2 * engine_.rng(v).uniform01();
     }
-    send(sh, v, Dir::kToPred, now);
-    send(sh, v, Dir::kToSucc, now);
-    // Mild jitter avoids artificial lock-step among the nodes' timers.
-    const double jitter = 0.9 + 0.2 * node_rng_[v].uniform01();
-    next.time = pdes::advance_time(now, params_.refresh_interval * jitter);
-    next.order = pdes::make_order(v, node_seq_[v]++);
-    sh.heap.push(next);
+    // A down node's radio is off, but its timer stays armed so it resumes
+    // broadcasting when the window closes.
+    engine_.schedule(sh, v, pdes::advance_time(now, period),
+                     pdes::EvKind::kTimer);
   }
 
   void dispatch(Shard& sh, const pdes::HeapRec& rec) {
     const std::size_t creator = pdes::order_creator(rec.order);
     if (rec.kind == pdes::EvKind::kLinkFree) {
       // Pure bookkeeping on the sender side: not a protocol event (not
-      // counted, not crash-gated — the legacy engine freed links from
-      // inside delivery handling, with the same immunity).
-      const std::size_t idx = 2 * creator + rec.dir;
-      SSR_ASSERT(link_busy_[idx], "link-free on an idle link");
-      link_busy_[idx] = 0;
-      if (link_has_pending_[idx]) {
-        link_has_pending_[idx] = 0;
-        transmit(sh, creator, static_cast<Dir>(rec.dir), link_pending_[idx],
-                 rec.time);
+      // counted, not crash-gated).
+      const Dir d = static_cast<Dir>(rec.dir);
+      if (const State* parked = links_.release(link_index(creator, d))) {
+        transmit(sh, creator, d, *parked, rec.time);
       }
       return;
     }
@@ -596,144 +480,25 @@ class CstSimulation {
     ++sh.ctr.events;
     // Only the acting node's predicate can have changed (it reads nothing
     // but v's own state and caches); log the flip under the event's key.
-    const bool post = eval_token(v);
-    if (post != (holder_bit_[v] != 0)) {
-      holder_bit_[v] = post ? 1 : 0;
-      sh.flips.push_back({rec.time, rec.order, static_cast<std::uint32_t>(v),
-                          static_cast<std::uint8_t>(post)});
-    }
-  }
-
-  /// One round's worth of events for one shard: everything strictly below
-  /// the horizon (and at or below the run deadline), in key order.
-  void process_shard(Shard& sh, Time horizon, Time deadline) {
-    while (!sh.heap.empty()) {
-      const pdes::HeapRec rec = sh.heap.top();
-      if (rec.time >= horizon || rec.time > deadline) break;
-      SSR_ASSERT(rec.time >= sh.clock,
-                 "event pop regressed below the shard clock (lookahead or "
-                 "Time-precision violation)");
-      sh.clock = rec.time;
-      sh.heap.pop();
-      dispatch(sh, rec);
-    }
-  }
-
-  /// Moves boundary deliveries staged for shard w into its heap. Runs
-  /// after the processing barrier: it reads other shards' outboxes and
-  /// writes only shard w's heap and slab.
-  void drain_inbound(std::size_t w) {
-    Shard& sh = shards_[w];
-    for (std::size_t o = 0; o < workers_; ++o) {
-      if (o == w) continue;
-      for (const BoundaryFrame& f : shards_[o].outbox[w]) {
-        pdes::HeapRec rec;
-        rec.time = f.time;
-        rec.order = f.order;
-        rec.slot =
-            (f.flags & pdes::kEvLost) ? pdes::kNoSlot : sh.slab.intern(f.payload);
-        rec.kind = pdes::EvKind::kDelivery;
-        rec.dir = f.dir;
-        rec.flags = f.flags;
-        sh.heap.push(rec);
-      }
-    }
-  }
-
-  template <typename StopFn>
-  CoverageStats run_impl(Time deadline, StopFn&& stop) {
-    CoverageStats stats;
-    stopped_ = false;
-    for (Shard& sh : shards_) sh.ctr = pdes::ShardCounters{};
-    if (stop(*this)) {
-      stopped_ = true;
-      return stats;
-    }
-    const Time start = now_;
-    pdes::CoverageAccumulator acc(start, holder_count_, &holders_, &observer_);
-    std::vector<std::vector<pdes::FlipEntry>*> flip_logs;
-    flip_logs.reserve(workers_);
-    for (Shard& sh : shards_) flip_logs.push_back(&sh.flips);
-    if (workers_ > 1 && pool_ == nullptr) {
-      pool_ = std::make_unique<util::ThreadPool>(workers_);
-    }
-
-    for (;;) {
-      Time t_next = std::numeric_limits<Time>::infinity();
-      for (const Shard& sh : shards_) {
-        if (!sh.heap.empty()) t_next = std::min(t_next, sh.heap.top().time);
-      }
-      if (t_next > deadline) break;  // also catches all-heaps-empty
-      // Conservative window: every event in [t_next, horizon) may be
-      // processed now, because any delivery it generates is at least
-      // delay_min away and so lands at or beyond the horizon (monotone
-      // rounding: fl(a + b) >= fl(t_next + delay_min) for a >= t_next,
-      // b >= delay_min). advance_time doubles as the progress guard.
-      const Time horizon = pdes::advance_time(t_next, params_.delay_min);
-      if (workers_ == 1) {
-        process_shard(shards_[0], horizon, deadline);
-      } else {
-        pool_->run_on_all([&](std::size_t w) {
-          for (auto& box : shards_[w].outbox) box.clear();
-          process_shard(shards_[w], horizon, deadline);
-        });
-        pool_->run_on_all([&](std::size_t w) { drain_inbound(w); });
-      }
-      acc.merge_shards(flip_logs);
-      holder_count_ = acc.count();
-      now_ = std::min(horizon, deadline);
-      if (stop(*this)) {
-        stopped_ = true;
-        break;
-      }
-    }
-    if (!stopped_ && now_ < deadline) now_ = deadline;
-    acc.finish(now_);
-    holder_count_ = acc.count();
-    stats.observed_time = now_ - start;
-    stats.zero_token_time = acc.zero_time();
-    stats.zero_intervals =
-        static_cast<std::size_t>(acc.zero_intervals());
-    stats.handovers = acc.handovers();
-    stats.min_holders = acc.min_holders();
-    stats.max_holders = acc.max_holders();
-    for (const Shard& sh : shards_) {
-      stats.events += sh.ctr.events;
-      stats.deliveries += sh.ctr.deliveries;
-      stats.transmissions += sh.ctr.transmissions;
-      stats.losses += sh.ctr.losses;
-      stats.rule_executions += sh.ctr.rule_executions;
-      stats.crash_restarts += sh.ctr.crash_restarts;
-    }
-    return stats;
+    sh.note_flip(rec, v, eval_token(v), holder_bit_[v]);
   }
 
   P protocol_;
   NetworkParams params_;
   TokenFn token_;
   IntervalObserver observer_;
-  Time now_ = 0.0;
-  bool stopped_ = false;
-  std::size_t workers_ = 1;
-  pdes::ShardLayout layout_;
   Rng aux_rng_;  ///< coordinator-only draws (randomize_caches)
 
   Config states_;
   std::vector<State> cache_pred_;
   std::vector<State> cache_succ_;
-  std::vector<std::uint8_t> link_busy_;         ///< index 2*i + dir
-  std::vector<std::uint8_t> link_has_pending_;  ///< newest state parked
-  std::vector<State> link_pending_;
+  pdes::LinkTable<State> links_;  ///< index 2*i + dir
   std::vector<std::uint8_t> exec_pending_;
   std::vector<std::uint8_t> holder_bit_;  ///< current per-node predicate
-  std::vector<Rng> node_rng_;             ///< stream_rng(seed, i) per node
-  std::vector<std::uint32_t> node_seq_;   ///< per-node event key counter
   runtime::FaultInjector injector_;
   bool has_plan_ = false;
   bool has_windows_ = false;
-
-  std::vector<Shard> shards_;
-  std::unique_ptr<util::ThreadPool> pool_;  ///< lazily created when W > 1
+  Engine engine_;
 
   std::vector<bool> holders_;  ///< maintained in merged flip order
   std::size_t holder_count_ = 0;

@@ -1,5 +1,7 @@
-// Shared machinery for the sharded conservative parallel discrete-event
-// CST simulators (msgpass::CstSimulation and graph::GraphCstSimulation).
+// The sharded conservative parallel discrete-event engine both CST
+// simulators (msgpass::CstSimulation and graph::GraphCstSimulation) run
+// on. ShardedEngine owns the shards, the boundary exchange and the round
+// loop; a simulator supplies only its protocol's event dispatch.
 //
 // The execution model is conservative, null-message-free PDES on global
 // lookahead windows:
@@ -37,10 +39,14 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <queue>
+#include <thread>
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ssr::msgpass {
 
@@ -61,6 +67,41 @@ using Time = double;
 using IntervalObserver =
     std::function<void(Time from, Time to, const std::vector<bool>& holders)>;
 
+/// Aggregate results of a simulation window.
+struct CoverageStats {
+  Time observed_time = 0.0;     ///< simulated time integrated
+  Time zero_token_time = 0.0;   ///< time with no token-holding node
+  std::size_t zero_intervals = 0;  ///< maximal intervals with zero holders
+  /// Extremes of the holder count over the window, the window's initial
+  /// count included.
+  std::size_t min_holders = std::numeric_limits<std::size_t>::max();
+  std::size_t max_holders = 0;
+  std::uint64_t events = 0;
+  std::uint64_t deliveries = 0;
+  std::uint64_t transmissions = 0;  ///< sends that entered a link
+  std::uint64_t losses = 0;         ///< random + window-dropped + corrupted
+  std::uint64_t rule_executions = 0;
+  std::uint64_t crash_restarts = 0;
+  /// Number of times the set of token-holding nodes changed.
+  std::uint64_t handovers = 0;
+
+  /// Fraction of observed time with at least one holder (the paper's
+  /// continuous-observation guarantee).
+  double coverage() const {
+    return observed_time > 0.0 ? 1.0 - zero_token_time / observed_time : 1.0;
+  }
+};
+
+/// Resolves a NetworkParams::workers request against a node count.
+inline std::size_t resolve_workers(std::size_t requested, std::size_t n) {
+  std::size_t w = requested != 0
+                      ? requested
+                      : std::max<std::size_t>(
+                            1, std::thread::hardware_concurrency());
+  w = std::min<std::size_t>(w, 1024);  // ThreadPool's own cap
+  return std::max<std::size_t>(1, std::min(w, n));
+}
+
 namespace pdes {
 
 /// `at = now + delta` with the monotonicity assert of the Time contract.
@@ -76,14 +117,11 @@ inline Time advance_time(Time now, double delta) {
 class ShardLayout {
  public:
   ShardLayout() = default;
-  ShardLayout(std::size_t n, std::size_t shards) : n_(n), shards_(shards) {
+  ShardLayout(std::size_t n, std::size_t shards) : shards_(shards) {
     SSR_REQUIRE(shards >= 1 && shards <= n, "shard count must be in [1, n]");
     base_ = n / shards;
     extra_ = n % shards;  // shards [0, extra_) own base_+1 nodes
   }
-
-  std::size_t shards() const { return shards_; }
-  std::size_t size() const { return n_; }
 
   std::size_t begin(std::size_t s) const {
     return s < extra_ ? s * (base_ + 1) : extra_ * (base_ + 1) + (s - extra_) * base_;
@@ -97,7 +135,6 @@ class ShardLayout {
   }
 
  private:
-  std::size_t n_ = 1;
   std::size_t shards_ = 1;
   std::size_t base_ = 1;
   std::size_t extra_ = 0;
@@ -129,8 +166,7 @@ inline std::size_t order_creator(std::uint64_t order) {
 }
 
 /// Slim heap record: 24 bytes, no payload — payloads live in a per-shard
-/// slab (satellite of ISSUE 7: the legacy queue sifted a full State copy
-/// through every heap swap).
+/// slab, so a heap sift moves keys only.
 struct HeapRec {
   Time time = 0.0;
   std::uint64_t order = 0;       ///< (creator, seq) tie-break
@@ -181,8 +217,6 @@ class PayloadSlab {
     return slots_[idx];
   }
 
-  const Payload& peek(std::uint32_t idx) const { return slots_[idx]; }
-
  private:
   std::vector<Payload> slots_;
   std::vector<std::uint32_t> free_;
@@ -227,11 +261,15 @@ class CoverageAccumulator {
         observer_(observer) {}
 
   std::size_t count() const { return count_; }
-  Time zero_time() const { return zero_time_; }
-  std::uint64_t zero_intervals() const { return zero_intervals_; }
-  std::uint64_t handovers() const { return handovers_; }
-  std::size_t min_holders() const { return min_; }
-  std::size_t max_holders() const { return max_; }
+
+  /// Writes the integrated holder statistics of the window into @p s.
+  void report(CoverageStats& s) const {
+    s.zero_token_time = zero_time_;
+    s.zero_intervals = static_cast<std::size_t>(zero_intervals_);
+    s.handovers = handovers_;
+    s.min_holders = min_;
+    s.max_holders = max_;
+  }
 
   /// Consumes the shards' flip logs (each already sorted by key, because
   /// shards pop their heaps in key order) as one merged sequence, then
@@ -304,6 +342,279 @@ class CoverageAccumulator {
   std::vector<bool>* holders_;
   const IntervalObserver* observer_;
   std::vector<std::size_t> cursors_;
+};
+
+/// A delivery crossing a shard boundary, staged in the sender shard's
+/// outbox until the round barrier.
+template <typename Payload>
+struct BoundaryFrame {
+  HeapRec rec;
+  Payload payload{};
+};
+
+/// One worker's slice of the node set and everything it owns.
+template <typename Payload>
+struct alignas(64) Shard {
+  std::size_t id = 0;
+  EventHeap heap;
+  PayloadSlab<Payload> slab;
+  std::vector<FlipEntry> flips;
+  std::vector<std::vector<BoundaryFrame<Payload>>> outbox;  ///< per dest shard
+  Time clock = 0.0;  ///< last popped event time (monotonicity guard)
+  ShardCounters ctr;
+
+  /// Queues a delivery on this shard's own heap; a lost frame carries no
+  /// payload slot.
+  void push_delivery(HeapRec rec, const Payload& payload) {
+    rec.slot = (rec.flags & kEvLost) ? kNoSlot : slab.intern(payload);
+    heap.push(rec);
+  }
+
+  /// Logs node @p v's predicate flip under the event's key if @p post
+  /// differs from the node's current bit, and updates the bit.
+  void note_flip(const HeapRec& rec, std::size_t v, bool post,
+                 std::uint8_t& bit) {
+    if (post == (bit != 0)) return;
+    bit = post ? 1 : 0;
+    flips.push_back({rec.time, rec.order, static_cast<std::uint32_t>(v),
+                     static_cast<std::uint8_t>(post)});
+  }
+};
+
+/// Directed links carrying one message at a time (paper §5 ¶1): a send
+/// onto a busy link parks the newest state, which goes out the moment the
+/// link frees (a node broadcasting its current state never needs more).
+template <typename State>
+class LinkTable {
+ public:
+  void resize(std::size_t links) {
+    busy_.assign(links, 0);
+    has_pending_.assign(links, 0);
+    pending_.resize(links);
+  }
+
+  /// Claims link @p e for @p s; if the link is busy, parks @p s in place of
+  /// any older parked state and returns false.
+  bool claim_or_park(std::size_t e, const State& s) {
+    if (busy_[e]) {
+      pending_[e] = s;
+      has_pending_[e] = 1;
+      return false;
+    }
+    busy_[e] = 1;
+    return true;
+  }
+
+  /// Completes the transmission on link @p e. Returns the parked state,
+  /// for which the link stays claimed, or null when the link goes idle.
+  const State* release(std::size_t e) {
+    SSR_ASSERT(busy_[e], "link-free on an idle link");
+    if (!has_pending_[e]) {
+      busy_[e] = 0;
+      return nullptr;
+    }
+    has_pending_[e] = 0;
+    return &pending_[e];
+  }
+
+ private:
+  std::vector<std::uint8_t> busy_;
+  std::vector<std::uint8_t> has_pending_;
+  std::vector<State> pending_;
+};
+
+/// Initial reservations for one shard owning nodes [lo, hi).
+struct ShardReserve {
+  std::size_t heap = 0;
+  std::size_t slab = 0;
+};
+
+/// The shard set, the per-node RNG streams and event keys, and the
+/// conservative round loop both CST simulators run on. A simulator
+/// supplies only its protocol: a dispatch(shard, record) handler that may
+/// schedule events on the shard's own heap (any time) and route
+/// deliveries to other nodes (at least `lookahead` in the future).
+template <typename Payload>
+class ShardedEngine {
+ public:
+  using ShardT = Shard<Payload>;
+
+  ShardedEngine() = default;
+
+  /// @param reserve  (lo, hi) -> ShardReserve for the shard owning [lo, hi)
+  template <typename ReserveFn>
+  ShardedEngine(std::size_t n, std::size_t workers, Time lookahead,
+                std::uint64_t seed, ReserveFn&& reserve)
+      : layout_(n, workers),
+        lookahead_(lookahead),
+        node_seq_(n, 0),
+        shards_(workers) {
+    node_rng_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      node_rng_.push_back(stream_rng(seed, i));
+    }
+    for (std::size_t s = 0; s < workers; ++s) {
+      ShardT& sh = shards_[s];
+      sh.id = s;
+      const ShardReserve r = reserve(layout_.begin(s), layout_.end(s));
+      sh.heap = make_heap_reserved(r.heap);
+      sh.slab.reserve(r.slab);
+      sh.outbox.resize(workers);
+    }
+  }
+
+  std::size_t workers() const { return shards_.size(); }
+  Time now() const { return now_; }
+  /// Whether the last run ended on its stop predicate.
+  bool stopped() const { return stopped_; }
+
+  ShardT& shard_of(std::size_t node) { return shards_[layout_.shard_of(node)]; }
+
+  /// Node @p i's private stream, stream_rng(seed, i); draw from it only
+  /// while handling one of i's events.
+  Rng& rng(std::size_t i) { return node_rng_[i]; }
+
+  /// A fresh key for an event created by node @p i.
+  std::uint64_t next_order(std::size_t i) {
+    return make_order(i, node_seq_[i]++);
+  }
+
+  /// Queues an event node @p i creates for itself on its shard @p sh.
+  void schedule(ShardT& sh, std::size_t i, Time time, EvKind kind,
+                std::uint8_t dir = 0, std::uint32_t slot = kNoSlot) {
+    HeapRec rec;
+    rec.time = time;
+    rec.order = next_order(i);
+    rec.slot = slot;
+    rec.kind = kind;
+    rec.dir = dir;
+    sh.heap.push(rec);
+  }
+
+  /// Sends a delivery from shard @p from to node @p dest: straight onto
+  /// the sender's heap when @p dest is local, else into the outbox for the
+  /// barrier exchange.
+  void route(ShardT& from, std::size_t dest, const HeapRec& rec,
+             const Payload& payload) {
+    const std::size_t to = layout_.shard_of(dest);
+    if (to == from.id) {
+      from.push_delivery(rec, payload);
+    } else {
+      from.outbox[to].push_back({rec, payload});
+    }
+  }
+
+  /// Runs rounds until the deadline or until stop() holds at a round
+  /// horizon, integrating coverage from the merged flip logs.
+  /// @param holder_count  the current holder count; kept equal to the
+  ///                      merged count after every round
+  /// @param holders       per-node holder bits, maintained in merged flip
+  ///                      order when non-null
+  template <typename DispatchFn, typename StopFn>
+  CoverageStats run(Time deadline, std::size_t& holder_count,
+                    std::vector<bool>* holders,
+                    const IntervalObserver* observer, DispatchFn&& dispatch,
+                    StopFn&& stop) {
+    CoverageStats stats;
+    stopped_ = false;
+    for (ShardT& sh : shards_) sh.ctr = ShardCounters{};
+    if (stop()) {
+      stopped_ = true;
+      return stats;
+    }
+    const Time start = now_;
+    CoverageAccumulator acc(start, holder_count, holders, observer);
+    std::vector<std::vector<FlipEntry>*> flip_logs;
+    flip_logs.reserve(shards_.size());
+    for (ShardT& sh : shards_) flip_logs.push_back(&sh.flips);
+    if (shards_.size() > 1 && pool_ == nullptr) {
+      pool_ = std::make_unique<util::ThreadPool>(shards_.size());
+    }
+
+    for (;;) {
+      Time t_next = std::numeric_limits<Time>::infinity();
+      for (const ShardT& sh : shards_) {
+        if (!sh.heap.empty()) t_next = std::min(t_next, sh.heap.top().time);
+      }
+      if (t_next > deadline) break;  // also catches all-heaps-empty
+      // Conservative window: every event in [t_next, horizon) may be
+      // processed now, because any delivery it generates is at least
+      // lookahead away and so lands at or beyond the horizon (monotone
+      // rounding: fl(a + b) >= fl(t_next + lookahead) for a >= t_next,
+      // b >= lookahead). advance_time doubles as the progress guard.
+      const Time horizon = advance_time(t_next, lookahead_);
+      if (shards_.size() == 1) {
+        process_shard(shards_[0], horizon, deadline, dispatch);
+      } else {
+        pool_->run_on_all([&](std::size_t w) {
+          for (auto& box : shards_[w].outbox) box.clear();
+          process_shard(shards_[w], horizon, deadline, dispatch);
+        });
+        pool_->run_on_all([&](std::size_t w) { drain_inbound(w); });
+      }
+      acc.merge_shards(flip_logs);
+      holder_count = acc.count();
+      now_ = std::min(horizon, deadline);
+      if (stop()) {
+        stopped_ = true;
+        break;
+      }
+    }
+    if (!stopped_ && now_ < deadline) now_ = deadline;
+    acc.finish(now_);
+    holder_count = acc.count();
+    stats.observed_time = now_ - start;
+    acc.report(stats);
+    for (const ShardT& sh : shards_) {
+      stats.events += sh.ctr.events;
+      stats.deliveries += sh.ctr.deliveries;
+      stats.transmissions += sh.ctr.transmissions;
+      stats.losses += sh.ctr.losses;
+      stats.rule_executions += sh.ctr.rule_executions;
+      stats.crash_restarts += sh.ctr.crash_restarts;
+    }
+    return stats;
+  }
+
+ private:
+  /// One round's worth of events for one shard: everything strictly below
+  /// the horizon (and at or below the run deadline), in key order.
+  template <typename DispatchFn>
+  static void process_shard(ShardT& sh, Time horizon, Time deadline,
+                            DispatchFn& dispatch) {
+    while (!sh.heap.empty()) {
+      const HeapRec rec = sh.heap.top();
+      if (rec.time >= horizon || rec.time > deadline) break;
+      SSR_ASSERT(rec.time >= sh.clock,
+                 "event pop regressed below the shard clock (lookahead or "
+                 "Time-precision violation)");
+      sh.clock = rec.time;
+      sh.heap.pop();
+      dispatch(sh, rec);
+    }
+  }
+
+  /// Moves boundary deliveries staged for shard w into its heap. Runs
+  /// after the processing barrier: it reads other shards' outboxes and
+  /// writes only shard w's heap and slab.
+  void drain_inbound(std::size_t w) {
+    ShardT& sh = shards_[w];
+    for (std::size_t o = 0; o < shards_.size(); ++o) {
+      if (o == w) continue;
+      for (const BoundaryFrame<Payload>& f : shards_[o].outbox[w]) {
+        sh.push_delivery(f.rec, f.payload);
+      }
+    }
+  }
+
+  ShardLayout layout_;
+  Time lookahead_ = 0.0;
+  Time now_ = 0.0;
+  bool stopped_ = false;
+  std::vector<Rng> node_rng_;
+  std::vector<std::uint32_t> node_seq_;  ///< per-node event key counter
+  std::vector<ShardT> shards_;
+  std::unique_ptr<util::ThreadPool> pool_;  ///< lazily created when W > 1
 };
 
 }  // namespace pdes

@@ -692,6 +692,13 @@ ReactorReport MultiRingReactor::make_report(double duration_us) {
   report.nodes = config_.nodes;
   report.shards = shards_.size();
   report.duration_us = duration_us;
+  // Nodes scripted down at the end hold nothing, whatever their own view.
+  std::uint64_t up_mask = 0;
+  for (std::size_t i = 0; i < config_.nodes; ++i) {
+    if (!injector_.node_down(i, duration_us)) up_mask |= std::uint64_t{1} << i;
+  }
+  const double refresh_us =
+      static_cast<double>(config_.refresh_interval.count());
   for (std::size_t r = 0; r < config_.rings; ++r) {
     const RingCounters& c = table_->counters(r);
     report.frames_sent += c.frames_sent;
@@ -706,17 +713,22 @@ ReactorReport MultiRingReactor::make_report(double duration_us) {
     report.refresh_broadcasts += c.refresh_broadcasts;
     report.handovers += c.handovers;
     if (table_->is_legitimate(r)) ++report.rings_legitimate;
-    // "Live token": someone holds right now, or a holder gain happened
-    // within the last two refresh intervals. Dijkstra-style rings consume
-    // the token inside the very delivery that grants it, so the holder
-    // bit is transient — recency of the last gain is the liveness signal.
+    // "Live token": a node that is up holds right now, or the last holder
+    // gain is recent. Dijkstra-style rings consume the token inside the
+    // very delivery that grants it, so the holder bit is transient and
+    // recency of the last gain is the liveness signal. Recent is relative
+    // to the ring itself: within twice the longest gain-to-gain gap it has
+    // already recovered from (never under two refresh intervals), so a
+    // loop stalled by CPU contention does not read as a dead token, while
+    // a ring that has gone quiet for longer than it ever did still does.
     const std::uint64_t last_gain = table_->last_handover_us(r);
-    const double refresh_us =
-        static_cast<double>(config_.refresh_interval.count());
+    const double window_us = std::max(
+        2.0 * refresh_us,
+        2.0 * static_cast<double>(c.longest_handover_gap_us));
     const bool token_live =
-        table_->holder_mask(r) != 0 ||
+        (table_->holder_mask(r) & up_mask) != 0 ||
         (last_gain != std::numeric_limits<std::uint64_t>::max() &&
-         duration_us - static_cast<double>(last_gain) <= 2.0 * refresh_us);
+         duration_us - static_cast<double>(last_gain) <= window_us);
     if (token_live) ++report.rings_with_holder;
   }
   for (const auto& shard : shards_) {

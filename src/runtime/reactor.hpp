@@ -107,10 +107,11 @@ struct ReactorReport {
 
   /// Rings whose ground-truth state is legitimate at the end of the run.
   std::size_t rings_legitimate = 0;
-  /// Rings with a live token at the end: a node holds in own-view right
-  /// now, or a holder gain was observed within the last two refresh
-  /// intervals (Dijkstra-style rings consume the token inside the
-  /// delivery that grants it, so the holder bit itself is transient).
+  /// Rings with a live token at the end: a node that is not scripted down
+  /// holds in own-view right now, or the last holder gain lies within
+  /// twice the ring's longest gain-to-gain gap so far (at least two
+  /// refresh intervals). Dijkstra-style rings consume the token inside the
+  /// delivery that grants it, so the holder bit itself is transient.
   std::size_t rings_with_holder = 0;
 };
 

@@ -22,6 +22,7 @@
 // travel (virtual clock or real UDP sockets).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -101,6 +102,9 @@ struct RingCounters {
   std::uint64_t crash_restarts = 0;
   std::uint64_t refresh_broadcasts = 0;
   std::uint64_t handovers = 0;
+  /// Longest interval between two consecutive holder gains (0 before the
+  /// second gain), in the ring clock's microseconds.
+  std::uint64_t longest_handover_gap_us = 0;
 };
 
 /// How a hosted ring starts: a seeded arbitrary configuration (the
@@ -325,7 +329,10 @@ class RingTable {
       ++counters_[ring].handovers;
       if (last_handover_us_[ring] !=
           std::numeric_limits<std::uint64_t>::max()) {
-        on_handover(now_us - last_handover_us_[ring]);
+        const std::uint64_t gap = now_us - last_handover_us_[ring];
+        std::uint64_t& longest = counters_[ring].longest_handover_gap_us;
+        longest = std::max(longest, gap);
+        on_handover(gap);
       }
       last_handover_us_[ring] = now_us;
     } else {

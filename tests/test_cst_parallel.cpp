@@ -54,21 +54,25 @@ struct RunRecord {
 
 /// CoverageStats comparison. Doubles are compared with EXPECT_EQ on
 /// purpose: the contract is byte-identity, not tolerance.
+void expect_same_stats(const CoverageStats& ref, const CoverageStats& got) {
+  EXPECT_EQ(ref.observed_time, got.observed_time);
+  EXPECT_EQ(ref.zero_token_time, got.zero_token_time);
+  EXPECT_EQ(ref.zero_intervals, got.zero_intervals);
+  EXPECT_EQ(ref.min_holders, got.min_holders);
+  EXPECT_EQ(ref.max_holders, got.max_holders);
+  EXPECT_EQ(ref.events, got.events);
+  EXPECT_EQ(ref.deliveries, got.deliveries);
+  EXPECT_EQ(ref.transmissions, got.transmissions);
+  EXPECT_EQ(ref.losses, got.losses);
+  EXPECT_EQ(ref.rule_executions, got.rule_executions);
+  EXPECT_EQ(ref.crash_restarts, got.crash_restarts);
+  EXPECT_EQ(ref.handovers, got.handovers);
+}
+
 void expect_same(const RunRecord& ref, const RunRecord& got,
                  const std::string& label) {
   SCOPED_TRACE(label);
-  EXPECT_EQ(ref.stats.observed_time, got.stats.observed_time);
-  EXPECT_EQ(ref.stats.zero_token_time, got.stats.zero_token_time);
-  EXPECT_EQ(ref.stats.zero_intervals, got.stats.zero_intervals);
-  EXPECT_EQ(ref.stats.min_holders, got.stats.min_holders);
-  EXPECT_EQ(ref.stats.max_holders, got.stats.max_holders);
-  EXPECT_EQ(ref.stats.events, got.stats.events);
-  EXPECT_EQ(ref.stats.deliveries, got.stats.deliveries);
-  EXPECT_EQ(ref.stats.transmissions, got.stats.transmissions);
-  EXPECT_EQ(ref.stats.losses, got.stats.losses);
-  EXPECT_EQ(ref.stats.rule_executions, got.stats.rule_executions);
-  EXPECT_EQ(ref.stats.crash_restarts, got.stats.crash_restarts);
-  EXPECT_EQ(ref.stats.handovers, got.stats.handovers);
+  expect_same_stats(ref.stats, got.stats);
   EXPECT_EQ(ref.now, got.now);
   EXPECT_EQ(ref.stopped, got.stopped);
   EXPECT_EQ(ref.holder_count, got.holder_count);
@@ -299,6 +303,59 @@ TEST(CstParallel, ConsecutiveWindowsStayAligned) {
   }
 }
 
+// --- absolute trajectory goldens -------------------------------------------
+//
+// The differentials above compare worker counts within one build; these pin
+// absolute statistics, so a refactor of the engine cannot drift every worker
+// count in lockstep. Counts are exact integers, times hex-floats, and the
+// telemetry JSON and final configuration are pinned by their FNV-1a hash.
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(CstGolden, SsrMinLossyFaultPlanTrajectory) {
+  // Loss, duplication, an exponential-tail delay and a crash + pause plan
+  // with arbitrary caches: every branch of the ring engine's handlers.
+  constexpr CoverageStats kGolden{
+      .observed_time = 0x1.f4p+8, .zero_token_time = 0x1.63cc5f1829dp+0,
+      .zero_intervals = 1, .min_holders = 0, .max_holders = 11,
+      .events = 4263, .deliveries = 3454, .transmissions = 3325,
+      .losses = 490, .rule_executions = 121, .crash_restarts = 1,
+      .handovers = 88};
+  NetworkParams net = base_net(41);
+  net.loss_probability = 0.1;
+  net.duplicate_probability = 0.05;
+  net.delay_model = DelayModel::kExponentialTail;
+  net.delay_max = 3.0;
+  net.fault_plan = runtime::FaultPlan::parse(
+      "drop=0.03;crash@120ms-170ms:node=5;pause@300ms-330ms:node=2");
+  for (std::size_t w : kWorkerCounts) {
+    SCOPED_TRACE("workers=" + std::to_string(w));
+    net.workers = w;
+    core::SsrMinRing ring(11, 12);
+    auto sim = make_ssrmin_cst(ring, core::canonical_legitimate(ring, 0), net);
+    sim.randomize_caches([](Rng& r) {
+      core::SsrState s;
+      s.x = static_cast<std::uint32_t>(r.below(12));
+      s.rts = r.bernoulli(0.5);
+      s.tra = r.bernoulli(0.5);
+      return s;
+    });
+    const RunRecord rec = run_fixed(sim, 500.0, true);
+    expect_same_stats(kGolden, rec.stats);
+    EXPECT_EQ(rec.now, kGolden.observed_time);
+    EXPECT_EQ(rec.holder_count, 1u);
+    EXPECT_EQ(fnv1a(rec.config), 0x1d57dea87b9a8e8cull);
+    EXPECT_EQ(fnv1a(rec.telemetry), 0x910182bb6b52fa92ull);
+  }
+}
+
 TEST(CstParallel, WorkerCountIsClampedToRingSize) {
   core::SsrMinRing ring(4, 5);
   NetworkParams net = base_net(30);
@@ -318,6 +375,15 @@ namespace ssr::graph {
 namespace {
 
 TEST(CstParallel, GraphMisDifferential) {
+  // Every worker count must land on the same absolute golden, captured
+  // like the ring's (CstGolden above); the configuration is pinned by the
+  // FNV-1a hash of its status digits.
+  constexpr msgpass::CoverageStats kGolden{
+      .observed_time = 0x1.9p+8, .zero_token_time = 0x0p+0,
+      .zero_intervals = 0, .min_holders = 5, .max_holders = 8,
+      .events = 47185, .deliveries = 46173, .transmissions = 46289,
+      .losses = 6931, .rule_executions = 15, .crash_restarts = 0,
+      .handovers = 6};
   Rng rng(31);
   const Topology g = Topology::random_connected(20, 0.2, rng);
   TurauMis mis(g);
@@ -329,47 +395,25 @@ TEST(CstParallel, GraphMisDifferential) {
                    std::span<const MisState>) {
     return self.status == MisStatus::kIn;
   };
-  struct GraphRecord {
-    msgpass::CoverageStats stats;
-    msgpass::Time now = 0.0;
-    std::size_t active_count = 0;
-    std::vector<bool> view;
-    MisConfig config;
-  };
-  GraphRecord ref;
+  std::vector<bool> ref_view;
   for (std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("graph workers=" + std::to_string(w));
     msgpass::NetworkParams net;
     net.loss_probability = 0.15;
     net.seed = 33;
     net.workers = w;
     GraphCstSimulation<TurauMis> sim(mis, initial, active, net);
     EXPECT_EQ(sim.workers(), w);
-    GraphRecord rec;
-    rec.stats = sim.run(400.0);
-    rec.now = sim.now();
-    rec.active_count = sim.active_count();
-    rec.view = sim.active_view();
-    rec.config = sim.global_config();
-    if (w == 1) {
-      ref = rec;
-      EXPECT_GT(ref.stats.events, 0u);
-    } else {
-      SCOPED_TRACE("graph workers=" + std::to_string(w));
-      EXPECT_EQ(ref.stats.observed_time, rec.stats.observed_time);
-      EXPECT_EQ(ref.stats.zero_token_time, rec.stats.zero_token_time);
-      EXPECT_EQ(ref.stats.events, rec.stats.events);
-      EXPECT_EQ(ref.stats.deliveries, rec.stats.deliveries);
-      EXPECT_EQ(ref.stats.transmissions, rec.stats.transmissions);
-      EXPECT_EQ(ref.stats.losses, rec.stats.losses);
-      EXPECT_EQ(ref.stats.rule_executions, rec.stats.rule_executions);
-      EXPECT_EQ(ref.stats.handovers, rec.stats.handovers);
-      EXPECT_EQ(ref.stats.min_holders, rec.stats.min_holders);
-      EXPECT_EQ(ref.stats.max_holders, rec.stats.max_holders);
-      EXPECT_EQ(ref.now, rec.now);
-      EXPECT_EQ(ref.active_count, rec.active_count);
-      EXPECT_EQ(ref.view, rec.view);
-      EXPECT_EQ(ref.config, rec.config);
+    msgpass::expect_same_stats(kGolden, sim.run(400.0));
+    EXPECT_EQ(sim.now(), kGolden.observed_time);
+    EXPECT_EQ(sim.active_count(), 6u);
+    std::string config;
+    for (const MisState& s : sim.global_config()) {
+      config += std::to_string(static_cast<int>(s.status));
     }
+    EXPECT_EQ(msgpass::fnv1a(config), 0x0b26277ebfb5cb55ull);
+    if (w == 1) ref_view = sim.active_view();
+    EXPECT_EQ(sim.active_view(), ref_view);
   }
 }
 

@@ -1,17 +1,20 @@
 // The parallel checker's contract: CheckReport is bit-identical at every
-// thread count AND in every Phase B storage mode — same witnesses, same
-// worst case, same height table. The differential tests below pin that by
-// running every covered (n, K) in all four storage backends (legacy CSR,
-// compressed move records, CSR-free, disk-spilled records) at 1, 2 and 8
-// workers (1 exercises the solo fast path, the others the shared atomic
-// counters), plus unit tests for the underlying ThreadPool.
+// thread count, in every Phase B storage mode and with either Phase A
+// sweep — same witnesses, same worst case, same height table. The
+// differential tests below pin that by running every covered (n, K) in all
+// three storage backends (compressed move records, CSR-free, disk-spilled
+// records) at 1, 2 and 8 workers (1 exercises the solo fast path, the
+// others the shared atomic heights) against a scalar-sweep baseline and a
+// serial reference-height oracle, plus unit tests for the ThreadPool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -104,32 +107,120 @@ void expect_identical(const verify::CheckReport& a,
   EXPECT_EQ(a.heights, b.heights) << what;
 }
 
+/// Convergence facts computed the slow, obvious way: one serial iterative
+/// DFS over the public successor relation. height(c) = 0 on Lambda and on
+/// deadlocks, else 1 + max over successors; a successor still on the DFS
+/// stack closes an illegitimate cycle.
+struct Reference {
+  bool convergence_holds = true;
+  std::uint64_t worst_case_steps = 0;
+  std::optional<std::uint64_t> worst_case_witness;
+  std::vector<std::uint32_t> heights;
+};
+
 template <typename Checker>
-void check_thread_invariance(const Checker& checker,
-                             verify::CheckOptions options, const char* what) {
+Reference reference_heights(const Checker& checker) {
+  constexpr std::uint32_t kUnseen = UINT32_MAX, kOnStack = UINT32_MAX - 1;
+  struct Frame {
+    std::uint64_t code;
+    std::vector<std::uint64_t> succs;
+    std::size_t next = 0;
+    std::uint32_t height = 0;
+  };
+  Reference ref;
+  ref.heights.assign(checker.codec().total(), kUnseen);
+  std::vector<Frame> stack;
+  auto open = [&](std::uint64_t c) {
+    const auto config = checker.codec().decode(c);
+    ref.heights[c] = checker.legitimate(config) ? 0 : kOnStack;
+    if (ref.heights[c] != 0) {
+      stack.push_back({c, checker.successor_codes(config)});
+    }
+  };
+  for (std::uint64_t root = 0; root < ref.heights.size(); ++root) {
+    if (ref.heights[root] == kUnseen) open(root);
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      if (f.next == f.succs.size()) {
+        ref.heights[f.code] = f.height;
+        stack.pop_back();
+        continue;
+      }
+      const std::uint32_t h = ref.heights[f.succs[f.next]];
+      if (h == kOnStack) {
+        ref.convergence_holds = false;
+        return ref;
+      }
+      if (h == kUnseen) {
+        open(f.succs[f.next]);  // may reallocate the stack: re-read back()
+        continue;
+      }
+      f.height = std::max(f.height, h + 1);
+      ++f.next;
+    }
+  }
+  for (std::uint64_t c = 0; c < ref.heights.size(); ++c) {
+    if (ref.heights[c] > ref.worst_case_steps) {
+      ref.worst_case_steps = ref.heights[c];
+      ref.worst_case_witness = c;
+    }
+  }
+  return ref;
+}
+
+void expect_matches_reference(const Reference& ref,
+                              const verify::CheckReport& got,
+                              const std::string& label) {
+  EXPECT_EQ(got.convergence_holds, ref.convergence_holds) << label;
+  EXPECT_EQ(got.worst_case_steps, ref.worst_case_steps) << label;
+  EXPECT_EQ(got.worst_case_witness, ref.worst_case_witness) << label;
+  ASSERT_EQ(got.heights.size(), ref.heights.size()) << label;
+  std::uint64_t mismatches = 0;
+  std::uint64_t first = 0;
+  for (std::uint64_t c = 0; c < ref.heights.size(); ++c) {
+    if (got.heights[c] != ref.heights[c] && mismatches++ == 0) first = c;
+  }
+  EXPECT_EQ(mismatches, 0u) << label << " (first at configuration " << first
+                            << ")";
+}
+
+/// The checker's whole contract on one space. Baseline: the scalar Phase
+/// A sweep at one worker. Then the bit-sliced Phase A in every Phase B
+/// storage mode at 1/2/8 workers must reproduce the baseline bit-for-bit —
+/// same witnesses (lowest-index, so lane masking and chunk order are on
+/// the hook), counts and heights — and every run must match the reference
+/// heights.
+template <typename Checker>
+void check_invariance(const Checker& checker, verify::CheckOptions options,
+                      const char* what) {
+  ASSERT_TRUE(checker.has_phase_a_slices()) << what;
+  const Reference ref = reference_heights(checker);
+  ASSERT_TRUE(ref.convergence_holds) << what;
   options.keep_heights = true;
   options.threads = 1;
-  options.storage = verify::PhaseBStorage::kLegacyCsr;
+  options.phase_a = verify::PhaseAMode::kScalar;
   const verify::CheckReport baseline = checker.run(options);
   EXPECT_TRUE(baseline.all_ok()) << what;
-  EXPECT_FALSE(baseline.heights.empty()) << what;
-  for (verify::PhaseBStorage storage : {verify::PhaseBStorage::kLegacyCsr,
-                                        verify::PhaseBStorage::kCompressed,
+  EXPECT_FALSE(baseline.stats.phase_a_sliced) << what;
+  expect_matches_reference(ref, baseline, std::string(what) + " scalar");
+  options.phase_a = verify::PhaseAMode::kSliced;
+  for (verify::PhaseBStorage storage : {verify::PhaseBStorage::kCompressed,
                                         verify::PhaseBStorage::kCsrFree,
                                         verify::PhaseBStorage::kSpill}) {
     options.storage = storage;
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      if (storage == verify::PhaseBStorage::kLegacyCsr && threads == 1) {
-        continue;  // the baseline itself
-      }
       options.threads = threads;
       const verify::CheckReport got = checker.run(options);
       std::string label = std::string(what) + " storage=" +
                           verify::to_string(storage) +
                           " threads=" + std::to_string(threads);
       expect_identical(baseline, got, label.c_str());
+      expect_matches_reference(ref, got, label);
       EXPECT_EQ(got.stats.mode, storage) << label;
+      EXPECT_TRUE(got.stats.phase_a_sliced) << label;
+      EXPECT_GE(got.stats.phase_a_lanes, 64u) << label;
+      EXPECT_FALSE(got.stats.phase_a_backend.empty()) << label;
       if (storage == verify::PhaseBStorage::kSpill) {
         EXPECT_GT(got.stats.spill_bytes, 0u) << label;
         EXPECT_GT(got.stats.blocks_read, 0u) << label;
@@ -141,44 +232,44 @@ void check_thread_invariance(const Checker& checker,
 
 TEST(ModelCheckParallel, SsrMinReportsAreThreadCountInvariant) {
   verify::CheckOptions options;  // defaults: privileged in [1, 2]
-  check_thread_invariance(verify::make_ssrmin_checker(3, 4), options,
-                          "ssrmin(3,4)");
-  check_thread_invariance(verify::make_ssrmin_checker(3, 6), options,
-                          "ssrmin(3,6)");
-  check_thread_invariance(verify::make_ssrmin_checker(4, 5), options,
-                          "ssrmin(4,5)");
+  // K = 4: the dense state radix 4K = 16 is a power of two, so the
+  // odometer fill rides the digit carry-out wrap path.
+  check_invariance(verify::make_ssrmin_checker(3, 4), options, "ssrmin(3,4)");
+  check_invariance(verify::make_ssrmin_checker(3, 6), options, "ssrmin(3,6)");
+  check_invariance(verify::make_ssrmin_checker(4, 5), options, "ssrmin(4,5)");
 }
 
 TEST(ModelCheckParallel, DijkstraReportsAreThreadCountInvariant) {
   verify::CheckOptions options;
   options.min_privileged = 1;
   options.max_privileged = 1;
-  check_thread_invariance(verify::make_kstate_checker(3, 4), options,
-                          "dijkstra(3,4)");
-  check_thread_invariance(verify::make_kstate_checker(4, 5), options,
-                          "dijkstra(4,5)");
-  check_thread_invariance(verify::make_kstate_checker(5, 6), options,
-                          "dijkstra(5,6)");
+  check_invariance(verify::make_kstate_checker(3, 4), options,
+                   "dijkstra(3,4)");
+  check_invariance(verify::make_kstate_checker(4, 5), options,
+                   "dijkstra(4,5)");
+  check_invariance(verify::make_kstate_checker(5, 6), options,
+                   "dijkstra(5,6)");
 }
 
 TEST(ModelCheckParallel, BigSpacesAreModeAndThreadInvariant) {
   // The acceptance-sized differential: ssrmin(5,6) (8M configs),
   // dijkstra(6,7) and dijkstra(8,9) (43M configs) in every storage mode
   // at 1/2/8 workers, heights included. Gated behind SSRING_TEST_BIG=1
-  // because the 27 full checks take tens of minutes on modest hardware.
+  // because the 30 full checks and the reference DFS take tens of minutes
+  // on modest hardware.
   if (std::getenv("SSRING_TEST_BIG") == nullptr) {
     GTEST_SKIP() << "set SSRING_TEST_BIG=1 to run the large differential";
   }
   verify::CheckOptions ssr_options;
-  check_thread_invariance(verify::make_ssrmin_checker(5, 6), ssr_options,
-                          "ssrmin(5,6)");
+  check_invariance(verify::make_ssrmin_checker(5, 6), ssr_options,
+                   "ssrmin(5,6)");
   verify::CheckOptions dij_options;
   dij_options.min_privileged = 1;
   dij_options.max_privileged = 1;
-  check_thread_invariance(verify::make_kstate_checker(6, 7), dij_options,
-                          "dijkstra(6,7)");
-  check_thread_invariance(verify::make_kstate_checker(8, 9), dij_options,
-                          "dijkstra(8,9)");
+  check_invariance(verify::make_kstate_checker(6, 7), dij_options,
+                   "dijkstra(6,7)");
+  check_invariance(verify::make_kstate_checker(8, 9), dij_options,
+                   "dijkstra(8,9)");
 }
 
 TEST(ModelCheckParallel, AutoSpillsUnderTightBudgetAndMatchesInRam) {
@@ -228,66 +319,22 @@ TEST(ModelCheckParallel, DefaultThreadsMatchesSequential) {
 }
 
 // --- sliced Phase A vs the scalar odometer sweep ---------------------------
-
-/// The sliced Phase A contract: against a scalar-sweep baseline, the
-/// bit-sliced A1/A2 must reproduce the report bit-for-bit — same witnesses
-/// (lowest-index, so lane masking and chunk order are on the hook), same
-/// counts, same heights — at every thread count and in every Phase B
-/// storage mode.
-template <typename Checker>
-void check_phase_a_invariance(const Checker& checker,
-                              verify::CheckOptions options, const char* what) {
-  ASSERT_TRUE(checker.has_phase_a_slices()) << what;
-  options.keep_heights = true;
-  options.threads = 1;
-  options.phase_a = verify::PhaseAMode::kScalar;
-  const verify::CheckReport baseline = checker.run(options);
-  EXPECT_TRUE(baseline.all_ok()) << what;
-  EXPECT_FALSE(baseline.stats.phase_a_sliced) << what;
-  options.phase_a = verify::PhaseAMode::kSliced;
-  for (verify::PhaseBStorage storage : {verify::PhaseBStorage::kLegacyCsr,
-                                        verify::PhaseBStorage::kCompressed,
-                                        verify::PhaseBStorage::kCsrFree,
-                                        verify::PhaseBStorage::kSpill}) {
-    options.storage = storage;
-    for (std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      options.threads = threads;
-      const verify::CheckReport got = checker.run(options);
-      std::string label = std::string(what) + " sliced storage=" +
-                          verify::to_string(storage) +
-                          " threads=" + std::to_string(threads);
-      expect_identical(baseline, got, label.c_str());
-      EXPECT_TRUE(got.stats.phase_a_sliced) << label;
-      EXPECT_GE(got.stats.phase_a_lanes, 64u) << label;
-      EXPECT_FALSE(got.stats.phase_a_backend.empty()) << label;
-    }
-  }
-}
+//
+// check_invariance compares every sliced run against a scalar baseline, so
+// the spaces above already pin the sliced sweep; these add shapes only.
 
 TEST(ModelCheckSlicedPhaseA, SsrMinMatchesScalarSweep) {
   verify::CheckOptions options;  // defaults: privileged in [1, 2]
-  // K = 4: the dense state radix 4K = 16 is a power of two, so the
-  // odometer fill rides the digit carry-out wrap path.
-  check_phase_a_invariance(verify::make_ssrmin_checker(3, 4), options,
-                           "ssrmin(3,4)");
-  check_phase_a_invariance(verify::make_ssrmin_checker(3, 5), options,
-                           "ssrmin(3,5)");
-  check_phase_a_invariance(verify::make_ssrmin_checker(4, 5), options,
-                           "ssrmin(4,5)");
+  check_invariance(verify::make_ssrmin_checker(3, 5), options, "ssrmin(3,5)");
 }
 
 TEST(ModelCheckSlicedPhaseA, DijkstraMatchesScalarSweep) {
   verify::CheckOptions options;
   options.min_privileged = 1;
   options.max_privileged = 1;
-  check_phase_a_invariance(verify::make_kstate_checker(3, 4), options,
-                           "dijkstra(3,4)");
   // K = 2^d wrap; 4^4 = 256 configs keeps every chunk partially filled.
-  check_phase_a_invariance(verify::make_kstate_checker(4, 4), options,
-                           "dijkstra(4,4)");
-  check_phase_a_invariance(verify::make_kstate_checker(5, 6), options,
-                           "dijkstra(5,6)");
+  check_invariance(verify::make_kstate_checker(4, 4), options,
+                   "dijkstra(4,4)");
 }
 
 TEST(ModelCheckSlicedPhaseA, AutoModeUsesSlicesAndMatchesScalar) {

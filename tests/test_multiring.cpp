@@ -184,6 +184,26 @@ TEST(MultiRing, UdpTransportHostsRingsOnSharedSockets) {
   EXPECT_EQ(report.rings_with_holder, 64u);
 }
 
+// The liveness measure must still catch a dead token: when every node of
+// every ring crashes at 250 ms and stays down past the end of the run, no
+// ring may be reported live — while the same rings without the fault plan
+// all are.
+TEST(MultiRing, RingsCrashedThroughTheEndAreNotLive) {
+  ReactorConfig config = mixed_config(3, 5);
+  config.start = RingStart::kLegitimate;
+  config.refresh_interval = microseconds(2000);
+  MultiRingReactor healthy(config);
+  EXPECT_EQ(healthy.run(milliseconds(400)).rings_with_holder, 3u);
+
+  config.fault_plan = FaultPlan::parse(
+      "crash@250ms-1000ms:node=0;crash@250ms-1000ms:node=1;"
+      "crash@250ms-1000ms:node=2;crash@250ms-1000ms:node=3");
+  MultiRingReactor crashed(config);
+  const ReactorReport report = crashed.run(milliseconds(400));
+  EXPECT_EQ(report.crash_restarts, 3u * 4u);
+  EXPECT_EQ(report.rings_with_holder, 0u);
+}
+
 // One SSRmin ring of four nodes over loopback UDP from the canonical
 // legitimate configuration, with its holder timeline recorded.
 ReactorConfig one_ring_udp_config(std::uint64_t seed, const char* plan = "") {

@@ -1,6 +1,6 @@
 // Unit tests for the slim Phase B storage primitives: the varint move
 // record codec (round-trip + fuzz), the two-level MoveStore layout, the
-// packed HeightTable with its sparse escape, the TwoLevelBitset, the
+// packed u16 HeightTable, the TwoLevelBitset, the
 // disk-spilled record store (round-trip fuzz + hardened error paths), the
 // cgroup-aware memory budget, and the projected-memory mode-selection
 // guard that replaced the old hard cap.
@@ -103,19 +103,21 @@ TEST(MoveStore, TwoLevelOffsetsAddressEveryRecord) {
   const MoveRecordCodec codec(4, 8);
   MoveStore store;
   store.prepare(10000, codec);
-  EXPECT_EQ(store.block_shift(), 12u);
+  verify::MoveLayout& layout = store.layout();
+  EXPECT_EQ(layout.block_shift(), 12u);
 
   // Give config c a record of size (c % 5): sizes vary within blocks.
   auto size_of = [](std::uint64_t c) {
     return static_cast<std::uint16_t>(c % 5);
   };
-  for (std::uint64_t b = 0; b < store.block_count(); ++b) {
+  for (std::uint64_t b = 0; b < layout.block_count(); ++b) {
     std::uint16_t running = 0;
-    for (std::uint64_t c = store.block_begin(b); c < store.block_end(b); ++c) {
-      store.set_local_offset(c, running);
+    for (std::uint64_t c = layout.block_begin(b); c < layout.block_end(b);
+         ++c) {
+      layout.set_local_offset(c, running);
       running = static_cast<std::uint16_t>(running + size_of(c));
     }
-    store.set_block_bytes(b, running);
+    layout.set_block_bytes(b, running);
   }
   store.finalize_layout();
   // Write each record's first byte as a fingerprint, then check
@@ -133,7 +135,7 @@ TEST(MoveStore, TwoLevelOffsetsAddressEveryRecord) {
     }
   }
   EXPECT_GT(store.stream_bytes(), 0u);
-  EXPECT_GT(store.offset_bytes(), 0u);
+  EXPECT_GT(layout.offset_bytes(), 0u);
 }
 
 TEST(MoveStore, ShrinksBlockShiftForHugeRecords) {
@@ -143,8 +145,8 @@ TEST(MoveStore, ShrinksBlockShiftForHugeRecords) {
   const MoveRecordCodec codec(32, 64);
   MoveStore store;
   store.prepare(100000, codec);
-  EXPECT_LT(store.block_shift(), 12u);
-  EXPECT_LE((std::uint64_t{1} << store.block_shift()) *
+  EXPECT_LT(store.layout().block_shift(), 12u);
+  EXPECT_LE((std::uint64_t{1} << store.layout().block_shift()) *
                 codec.max_encoded_size(),
             65535u);
 }
@@ -302,30 +304,20 @@ TEST(SpillStore, EnospcMidWriteSurfacesAsRequireError) {
 
 // --- HeightTable -----------------------------------------------------------
 
-TEST(HeightTable, PackRoundTripsWithSparseEscape) {
-  std::vector<std::uint32_t> raw = {0, 1, 65534, 65535, 1u << 20, 7};
-  const HeightTable t = HeightTable::pack(raw);
-  ASSERT_EQ(t.size(), raw.size());
-  for (std::uint64_t i = 0; i < raw.size(); ++i) {
-    EXPECT_EQ(t[i], raw[i]) << "index " << i;
-  }
-  EXPECT_EQ(t.escape_entries(), 2u);  // 65535 and 2^20 escape
-
-  HeightTable u;
-  u.assign(raw.size(), 0);
-  for (std::uint64_t i = 0; i < raw.size(); ++i) u.set(i, raw[i]);
-  EXPECT_TRUE(t == u);
-  u.set(2, 3);
-  EXPECT_FALSE(t == u);
-}
-
 TEST(HeightTable, AdoptedDenseTableHasNoEscapes) {
   const HeightTable t = HeightTable::adopt({0, 7, 43, 16});
   EXPECT_EQ(t.size(), 4u);
   EXPECT_EQ(t[2], 43u);
-  EXPECT_EQ(t.escape_entries(), 0u);
   EXPECT_FALSE(t.empty());
   EXPECT_TRUE(HeightTable().empty());
+
+  // The u16 range ends below the peel's unfinalized sentinel.
+  HeightTable u;
+  u.assign(4, 0);
+  u.set(1, 65534);
+  EXPECT_EQ(u[1], 65534u);
+  EXPECT_THROW(u.set(1, HeightTable::kEscapeTag), std::invalid_argument);
+  EXPECT_FALSE(t == u);
 }
 
 // --- TwoLevelBitset --------------------------------------------------------
