@@ -11,8 +11,8 @@
 //
 // Execution engine: by default each sweep unit is a bit-sliced
 // sim::BatchEngine block replaying the scalar trials lane-for-lane, on
-// the widest lane backend this CPU supports (64 u64 lanes, 256 AVX2
-// lanes, 512 AVX-512 lanes; override with SSRING_LANE_BACKEND).
+// the widest lane backend this CPU supports (64 u64 lanes or 512
+// AVX-512 lanes; override with SSRING_LANE_BACKEND).
 // --batched off forces the scalar stab::Engine path; the statistics are
 // identical in every mode, per the BatchEngine differential tests. The
 // run always writes BENCH_convergence.json (rows: table, daemon, n,

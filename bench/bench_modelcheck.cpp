@@ -19,8 +19,8 @@
 // BENCH_modelcheck.json (rows: protocol, n, K, configs, threads, mode,
 // wall_ms, peak_mib, spill_bytes, rss_mib, backend, lanes) so successive
 // PRs can track the checker's throughput and footprint trajectory.
-// `backend`/`lanes` name the bit-sliced Phase A engine (u64/avx2/avx512 x
-// 64/256/512) — or "scalar"/1 when the odometer sweep ran instead.
+// `backend`/`lanes` name the bit-sliced Phase A engine (u64/avx512 x
+// 64/512) — or "scalar"/1 when the odometer sweep ran instead.
 // `spill_bytes` is the on-disk move stream (0 for the in-RAM modes) and
 // `rss_mib` the process high-water RSS when the row finished — monotone
 // across rows, so read it as an upper bound, not a per-row delta.

@@ -1,5 +1,5 @@
 // Bit-sliced SSRmin kernel: one lane per bit of the lane word W (64 for
-// u64, 256/512 for the WideWord SIMD backends).
+// u64, 512 for the WideWord SIMD backend).
 //
 // The per-process state of Algorithm 3 is 2 + ceil(log2 K) bits (rts, tra,
 // and the Dijkstra digit), so the whole protocol bit-slices: every plane

@@ -1,5 +1,5 @@
 // Bit-sliced Dijkstra K-state kernel: one lane per bit of the lane word W
-// (64 for u64, 256/512 for the WideWord SIMD backends).
+// (64 for u64, 512 for the WideWord SIMD backend).
 //
 // The K-state protocol is the degenerate case of the sliced SSRmin kernel:
 // one rule ("if G_i then C_i"), no flag planes. It exists so the batched

@@ -5,8 +5,11 @@
 // Each node v_i runs the untouched state-reading protocol against a local
 // *cache* Z_i[v_k] of each neighbor's state. Whenever v_i receives a
 // neighbor's state it updates the cache, executes (at most) one enabled
-// rule, and broadcasts its own state to both neighbors; a periodic timer
+// rule, and broadcasts its own state to every neighbor; a periodic timer
 // also rebroadcasts the state so lost messages are eventually repaired.
+// One simulator serves rings and general graphs: a neighbourhood policy
+// (RingNeighbourhood below, graph::GraphNeighbourhood in graph/cst.hpp)
+// supplies the topology and the protocol's view of a node's caches.
 //
 // The network model follows paper §5 ¶1: each directed link carries at most
 // one message at a time. A send onto a busy link parks the *latest* state
@@ -24,10 +27,10 @@
 // the system spends with zero / one / two token holders.
 //
 // Execution engine: pdes::ShardedEngine (see pdes.hpp for the
-// synchronization and determinism contract) cuts the ring into
-// NetworkParams::workers contiguous arcs and runs the conservative rounds,
-// with lookahead delay_min — a message needs at least delay_min to cross
-// any link, including the two boundary links of each arc. This class
+// synchronization and determinism contract) cuts the node ids into
+// NetworkParams::workers contiguous ranges (arcs, on a ring) and runs the
+// conservative rounds, with lookahead delay_min — a message needs at least
+// delay_min to cross any link, including those between ranges. This class
 // supplies only the protocol: event dispatch, link discipline, fault
 // injection and caches. All randomness comes from per-node streams
 // (stream_rng(seed, i)), so results are byte-identical at any worker
@@ -37,6 +40,7 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -110,45 +114,99 @@ struct NetworkParams {
   double draw_delay(Rng& rng) const;
 };
 
-/// CST execution of a RingProtocol over the event-driven network.
+/// Ring neighbourhood of the CST simulator: pure index arithmetic, no
+/// per-node arrays. Link k = 0 faces the predecessor and k = 1 the
+/// successor (the broadcast order), and node i's two cache slots and two
+/// outgoing links sit at 2i + k. At n = 2 both links face the same node.
 template <stab::RingProtocol P>
-class CstSimulation {
+class RingNeighbourhood {
  public:
   using State = typename P::State;
-  using Config = std::vector<State>;
   /// Token predicate on a node's local view: (i, self, pred_view,
   /// succ_view) -> holds a token.
   using TokenFn =
       std::function<bool(std::size_t, const State&, const State&, const State&)>;
 
-  CstSimulation(P protocol, Config initial, TokenFn token, NetworkParams params)
+  RingNeighbourhood(P protocol, TokenFn token)
       : protocol_(std::move(protocol)),
-        params_(params),
         token_(std::move(token)),
+        n_(protocol_.size()) {
+    SSR_REQUIRE(n_ >= 2, "ring needs at least two processes");
+  }
+
+  std::size_t size() const { return n_; }
+  static constexpr std::size_t degree(std::size_t) { return 2; }
+  std::size_t neighbor(std::size_t i, std::size_t k) const {
+    return k == 0 ? stab::pred_index(i, n_) : stab::succ_index(i, n_);
+  }
+  /// Receiver-side cache slot of link (i, k): a frame sent toward the
+  /// successor refreshes the receiver's predecessor cache, and vice versa.
+  static constexpr std::size_t receiver_slot(std::size_t, std::size_t k) {
+    return 1 - k;
+  }
+  /// First cache slot (and outgoing link) of node i.
+  static constexpr std::size_t offset(std::size_t i) { return 2 * i; }
+
+  /// Protocol and predicate calls on node i's local view (its caches).
+  int enabled_rule(std::size_t i, const State& self, const State* view) const {
+    return protocol_.enabled_rule(i, self, view[0], view[1]);
+  }
+  State apply(std::size_t i, int rule, const State& self,
+              const State* view) const {
+    return protocol_.apply(i, rule, self, view[0], view[1]);
+  }
+  bool token(std::size_t i, const State& self, const State* view) const {
+    return token_(i, self, view[0], view[1]);
+  }
+
+ private:
+  P protocol_;
+  TokenFn token_;
+  std::size_t n_;
+};
+
+/// CST execution of protocol P over the event-driven network. The
+/// neighbourhood policy Nbhd fixes the topology and how the protocol reads
+/// a node's caches: RingNeighbourhood (the default) for ring protocols,
+/// graph::GraphNeighbourhood for general-graph ones. The policy supplies
+/// the node count, degree(i), the k-th neighbour, the receiver-side cache
+/// slot of link (i, k), the flat cache offset of node i, and the protocol
+/// and token-predicate calls on a node's view. Node i's caches are
+/// cache_[offset(i) + k], one per incident link, and its outgoing link
+/// toward neighbour k has the same index in the link table.
+template <typename P, typename Nbhd = RingNeighbourhood<P>>
+class CstSimulation {
+ public:
+  using State = typename P::State;
+  using Config = std::vector<State>;
+  using TokenFn = typename Nbhd::TokenFn;
+
+  CstSimulation(P protocol, Config initial, TokenFn token, NetworkParams params)
+      : nb_(std::move(protocol), std::move(token)),
+        params_(params),
         aux_rng_(params.seed),
         states_(std::move(initial)),
-        injector_(params_.fault_plan, states_.size() >= 2 ? states_.size() : 2),
+        injector_(params_.fault_plan, std::max<std::size_t>(nb_.size(), 2)),
         has_plan_(!params_.fault_plan.empty()),
         has_windows_(!params_.fault_plan.windows.empty()) {
     params_.validate();
-    SSR_REQUIRE(states_.size() == protocol_.size(),
-                "configuration size must equal ring size");
-    SSR_REQUIRE(states_.size() >= 2, "ring needs at least two processes");
-    const std::size_t n = states_.size();
+    const std::size_t n = nb_.size();
+    SSR_REQUIRE(states_.size() == n,
+                "configuration size must equal the node count");
     SSR_REQUIRE(n < (std::size_t{1} << 32),
-                "ring size must fit the 32-bit event-key node field");
-    cache_pred_.resize(n);
-    cache_succ_.resize(n);
+                "node count must fit the 32-bit event-key node field");
+    cache_.resize(nb_.offset(n));
     make_caches_coherent();
-    links_.resize(2 * n);
+    links_.resize(nb_.offset(n));
     exec_pending_.assign(n, 0);
     // Steady-state in-flight events per node: one timer, at most one
-    // pending execution, two incoming deliveries plus the matching
-    // link-free records; ghosts and bursts spill past the reserve.
+    // pending execution, one delivery plus the matching link-free record
+    // per incident link; ghosts and bursts spill past the reserve.
     engine_ = Engine(n, resolve_workers(params_.workers, n), params_.delay_min,
-                     params_.seed, [](std::size_t lo, std::size_t hi) {
-                       return pdes::ShardReserve{6 * (hi - lo) + 64,
-                                                 2 * (hi - lo) + 16};
+                     params_.seed, [this](std::size_t lo, std::size_t hi) {
+                       const std::size_t e = nb_.offset(hi) - nb_.offset(lo);
+                       return pdes::ShardReserve{2 * e + 2 * (hi - lo) + 64,
+                                                 e + 16};
                      });
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -169,25 +227,32 @@ class CstSimulation {
   double fault_clock_us() const {
     return engine_.now() * params_.microseconds_per_tick;
   }
-  const P& protocol() const { return protocol_; }
   /// Resolved shard count the engine actually runs with.
   std::size_t workers() const { return engine_.workers(); }
 
-  /// True state of node i (omniscient view).
-  const State& node_state(std::size_t i) const { return states_.at(i); }
+  /// True states of all nodes (omniscient view).
+  const Config& global_config() const { return states_; }
 
-  /// Node i's cached view of its predecessor / successor.
-  const State& cache_pred(std::size_t i) const { return cache_pred_.at(i); }
-  const State& cache_succ(std::size_t i) const { return cache_succ_.at(i); }
-
-  Config global_config() const { return states_; }
+  /// Node i's cached view of its predecessor / successor (rings only).
+  const State& cache_pred(std::size_t i) const
+    requires std::same_as<Nbhd, RingNeighbourhood<P>>
+  {
+    return cache_.at(nb_.offset(i));
+  }
+  const State& cache_succ(std::size_t i) const
+    requires std::same_as<Nbhd, RingNeighbourhood<P>>
+  {
+    return cache_.at(nb_.offset(i) + 1);
+  }
 
   /// Definition 2: every cache equals the neighbor's current state.
   bool coherent() const {
-    const std::size_t n = states_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!(cache_pred_[i] == states_[stab::pred_index(i, n)])) return false;
-      if (!(cache_succ_[i] == states_[stab::succ_index(i, n)])) return false;
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+      for (std::size_t k = 0; k < nb_.degree(i); ++k) {
+        if (!(cache_[nb_.offset(i) + k] == states_[nb_.neighbor(i, k)])) {
+          return false;
+        }
+      }
     }
     return true;
   }
@@ -195,22 +260,20 @@ class CstSimulation {
   /// Resets every cache to the neighbor's true state (the "legitimate
   /// configuration with cache-coherence" hypothesis of Theorem 3).
   void make_caches_coherent() {
-    const std::size_t n = states_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      cache_pred_[i] = states_[stab::pred_index(i, n)];
-      cache_succ_[i] = states_[stab::succ_index(i, n)];
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+      for (std::size_t k = 0; k < nb_.degree(i); ++k) {
+        cache_[nb_.offset(i) + k] = states_[nb_.neighbor(i, k)];
+      }
     }
   }
 
   /// Fills every cache with an arbitrary state produced by @p gen (the
   /// "arbitrary cache values" hypothesis of Lemma 9 — bad incoherence).
-  /// Draws from a dedicated coordinator stream, pred then succ per node in
-  /// ascending order, so the corruption pattern is worker-independent.
+  /// Draws from a dedicated coordinator stream, node by node in ascending
+  /// order and link by link within a node (pred then succ on a ring), so
+  /// the corruption pattern is worker-independent.
   void randomize_caches(const std::function<State(Rng&)>& gen) {
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-      cache_pred_[i] = gen(aux_rng_);
-      cache_succ_[i] = gen(aux_rng_);
-    }
+    for (State& s : cache_) s = gen(aux_rng_);
     recompute_holders();
   }
 
@@ -252,23 +315,16 @@ class CstSimulation {
   }
 
  private:
-  /// Direction of an outgoing link.
-  enum class Dir : std::uint8_t { kToPred = 0, kToSucc = 1 };
-
   using Engine = pdes::ShardedEngine<State>;
   using Shard = typename Engine::ShardT;
 
-  std::size_t neighbor(std::size_t i, Dir d) const {
-    const std::size_t n = states_.size();
-    return d == Dir::kToPred ? stab::pred_index(i, n) : stab::succ_index(i, n);
-  }
-
-  static std::size_t link_index(std::size_t i, Dir d) {
-    return 2 * i + static_cast<std::size_t>(d);
+  /// Node i's local view: its cache slots, in link order.
+  const State* view(std::size_t i) const {
+    return cache_.data() + nb_.offset(i);
   }
 
   bool eval_token(std::size_t i) const {
-    return token_(i, states_[i], cache_pred_[i], cache_succ_[i]);
+    return nb_.token(i, states_[i], view(i));
   }
 
   void recompute_holders() {
@@ -281,29 +337,28 @@ class CstSimulation {
     }
   }
 
-  /// Starts a transmission of node i's current state along direction d, or
+  /// Starts a transmission of node i's current state along its link k, or
   /// parks it as pending if the link is occupied (overwriting any older
   /// pending value — only the newest state matters).
-  void send(Shard& sh, std::size_t i, Dir d, Time now) {
-    if (links_.claim_or_park(link_index(i, d), states_[i])) {
-      transmit(sh, i, d, states_[i], now);
+  void send(Shard& sh, std::size_t i, std::size_t k, Time now) {
+    if (links_.claim_or_park(nb_.offset(i) + k, states_[i])) {
+      transmit(sh, i, k, states_[i], now);
     }
   }
 
   void broadcast(Shard& sh, std::size_t i, Time now) {
-    send(sh, i, Dir::kToPred, now);
-    send(sh, i, Dir::kToSucc, now);
+    for (std::size_t k = 0; k < nb_.degree(i); ++k) send(sh, i, k, now);
   }
 
-  /// Puts @p payload on node i's claimed link in direction d.
-  void transmit(Shard& sh, std::size_t i, Dir d, const State& payload,
+  /// Puts @p payload on node i's claimed link k.
+  void transmit(Shard& sh, std::size_t i, std::size_t k, const State& payload,
                 Time now) {
     ++sh.ctr.transmissions;
     Rng& rng = engine_.rng(i);
     double delay = params_.draw_delay(rng);
     std::uint8_t flags = 0;
     if (rng.bernoulli(params_.loss_probability)) flags |= pdes::kEvLost;
-    const std::size_t dest = neighbor(i, d);
+    const std::size_t dest = nb_.neighbor(i, k);
     if (has_plan_) {
       // The injector draws in a fixed order (and an inert probability
       // consumes no draws), so the whole trajectory stays a pure function
@@ -326,21 +381,19 @@ class CstSimulation {
     rec.time = pdes::advance_time(now, delay);
     rec.order = engine_.next_order(i);
     rec.kind = pdes::EvKind::kDelivery;
-    rec.dir = static_cast<std::uint8_t>(d);
+    rec.link = static_cast<std::uint16_t>(k);
     rec.flags = flags;
     engine_.route(sh, dest, rec, payload);
     // The sender frees its own link when the transmission completes, so
     // the receiver's shard never writes the sender's link state.
-    engine_.schedule(sh, i, rec.time, pdes::EvKind::kLinkFree, rec.dir);
+    engine_.schedule(sh, i, rec.time, pdes::EvKind::kLinkFree, rec.link);
   }
 
   /// If a rule is enabled at node i and no execution is already pending,
   /// schedule one after the service (critical-section occupancy) delay.
   void maybe_schedule_execution(Shard& sh, std::size_t i, Time now) {
     if (exec_pending_[i]) return;
-    const int rule =
-        protocol_.enabled_rule(i, states_[i], cache_pred_[i], cache_succ_[i]);
-    if (rule == stab::kDisabled) return;
+    if (nb_.enabled_rule(i, states_[i], view(i)) == stab::kDisabled) return;
     exec_pending_[i] = 1;
     const double service =
         params_.service_min + engine_.rng(i).uniform01() *
@@ -357,6 +410,7 @@ class CstSimulation {
       ++sh.ctr.losses;
       return;
     }
+    const State payload = sh.slab.take(rec.slot);
     // A frame addressed to a scripted-down node was sent before the window
     // opened (frames sent during it are dropped at the sender): the radio
     // is off, so it is lost on arrival.
@@ -364,12 +418,17 @@ class CstSimulation {
       ++sh.ctr.losses;
       return;
     }
-    const State payload = sh.slab.take(rec.slot);
+    // A first delivery names the sender's link; a ghost already carries
+    // the receiver's cache slot.
+    const bool is_ghost = (rec.flags & pdes::kEvDuplicate) != 0;
+    const std::size_t slot =
+        is_ghost ? rec.link
+                 : nb_.receiver_slot(pdes::order_creator(rec.order), rec.link);
     // Duplication fault: replay this delivery once more after a fresh
     // delay. Duplicates can themselves not duplicate (one replay max).
     // The ghost is created (and keyed) by the receiver: it is a local
     // artifact of the receiver's radio, not a second transmission.
-    if (!(rec.flags & pdes::kEvDuplicate)) {
+    if (!is_ghost) {
       Rng& rng = engine_.rng(v);
       const bool dup = rng.bernoulli(params_.duplicate_probability) ||
                        (rec.flags & pdes::kEvForceDuplicate) != 0;
@@ -378,18 +437,12 @@ class CstSimulation {
         ghost.time = pdes::advance_time(rec.time, params_.draw_delay(rng));
         ghost.order = engine_.next_order(v);
         ghost.kind = pdes::EvKind::kDelivery;
-        ghost.dir = rec.dir;
+        ghost.link = static_cast<std::uint16_t>(slot);
         ghost.flags = pdes::kEvDuplicate;
         sh.push_delivery(ghost, payload);
       }
     }
-    // The message came from our predecessor iff the sender sent toward its
-    // successor.
-    if (rec.dir == static_cast<std::uint8_t>(Dir::kToSucc)) {
-      cache_pred_[v] = payload;
-    } else {
-      cache_succ_[v] = payload;
-    }
+    cache_[nb_.offset(v) + slot] = payload;
     maybe_schedule_execution(sh, v, rec.time);
     broadcast(sh, v, rec.time);
   }
@@ -405,11 +458,9 @@ class CstSimulation {
       // closes reschedules it.
       return;
     }
-    const int rule =
-        protocol_.enabled_rule(v, states_[v], cache_pred_[v], cache_succ_[v]);
+    const int rule = nb_.enabled_rule(v, states_[v], view(v));
     if (rule == stab::kDisabled) return;
-    states_[v] =
-        protocol_.apply(v, rule, states_[v], cache_pred_[v], cache_succ_[v]);
+    states_[v] = nb_.apply(v, rule, states_[v], view(v));
     ++sh.ctr.rule_executions;
     broadcast(sh, v, now);
     // Convergence rules can chain (e.g. Rule 5 then Rule 3) without any
@@ -435,9 +486,9 @@ class CstSimulation {
     if (rec.kind == pdes::EvKind::kLinkFree) {
       // Pure bookkeeping on the sender side: not a protocol event (not
       // counted, not crash-gated).
-      const Dir d = static_cast<Dir>(rec.dir);
-      if (const State* parked = links_.release(link_index(creator, d))) {
-        transmit(sh, creator, d, *parked, rec.time);
+      if (const State* parked =
+              links_.release(nb_.offset(creator) + rec.link)) {
+        transmit(sh, creator, rec.link, *parked, rec.time);
       }
       return;
     }
@@ -446,7 +497,7 @@ class CstSimulation {
     const std::size_t v =
         (rec.kind == pdes::EvKind::kDelivery &&
          (rec.flags & pdes::kEvDuplicate) == 0)
-            ? neighbor(creator, static_cast<Dir>(rec.dir))
+            ? nb_.neighbor(creator, rec.link)
             : creator;
     bool down = false;
     if (has_windows_) {
@@ -456,8 +507,9 @@ class CstSimulation {
       const double t_us = rec.time * params_.microseconds_per_tick;
       if (injector_.take_crash(v, t_us)) {
         states_[v] = State{};
-        cache_pred_[v] = State{};
-        cache_succ_[v] = State{};
+        for (std::size_t k = 0; k < nb_.degree(v); ++k) {
+          cache_[nb_.offset(v) + k] = State{};
+        }
         ++sh.ctr.crash_restarts;
       }
       down = injector_.node_down(v, t_us);
@@ -483,16 +535,14 @@ class CstSimulation {
     sh.note_flip(rec, v, eval_token(v), holder_bit_[v]);
   }
 
-  P protocol_;
+  Nbhd nb_;
   NetworkParams params_;
-  TokenFn token_;
   IntervalObserver observer_;
   Rng aux_rng_;  ///< coordinator-only draws (randomize_caches)
 
   Config states_;
-  std::vector<State> cache_pred_;
-  std::vector<State> cache_succ_;
-  pdes::LinkTable<State> links_;  ///< index 2*i + dir
+  std::vector<State> cache_;  ///< cache_[offset(i) + k]: view of neighbour k
+  pdes::LinkTable<State> links_;  ///< index offset(i) + k
   std::vector<std::uint8_t> exec_pending_;
   std::vector<std::uint8_t> holder_bit_;  ///< current per-node predicate
   runtime::FaultInjector injector_;

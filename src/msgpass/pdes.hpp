@@ -1,7 +1,8 @@
-// The sharded conservative parallel discrete-event engine both CST
-// simulators (msgpass::CstSimulation and graph::GraphCstSimulation) run
-// on. ShardedEngine owns the shards, the boundary exchange and the round
-// loop; a simulator supplies only its protocol's event dispatch.
+// The sharded conservative parallel discrete-event engine the CST
+// simulator (msgpass::CstSimulation, for rings and, through
+// graph::GraphCstSimulation, general graphs) runs on. ShardedEngine owns
+// the shards, the boundary exchange and the round loop; the simulator
+// supplies only its protocol's event dispatch.
 //
 // The execution model is conservative, null-message-free PDES on global
 // lookahead windows:
@@ -170,11 +171,14 @@ inline std::size_t order_creator(std::uint64_t order) {
 struct HeapRec {
   Time time = 0.0;
   std::uint64_t order = 0;       ///< (creator, seq) tie-break
-  std::uint32_t slot = kNoSlot;  ///< payload slab index / link slot id
+  std::uint32_t slot = kNoSlot;  ///< payload slab index
   EvKind kind = EvKind::kTimer;
-  std::uint8_t dir = 0;    ///< ring direction or (graph) unused
   std::uint8_t flags = 0;  ///< kEv* bits
+  /// Sender-local link index (deliveries, link-free records); a duplicate
+  /// ghost carries the receiver's cache slot instead.
+  std::uint16_t link = 0;
 };
+static_assert(sizeof(HeapRec) == 24, "HeapRec must stay one 24-byte record");
 
 struct HeapRecGreater {
   bool operator()(const HeapRec& a, const HeapRec& b) const {
@@ -430,7 +434,7 @@ struct ShardReserve {
 };
 
 /// The shard set, the per-node RNG streams and event keys, and the
-/// conservative round loop both CST simulators run on. A simulator
+/// conservative round loop the CST simulator runs on. A simulator
 /// supplies only its protocol: a dispatch(shard, record) handler that may
 /// schedule events on the shard's own heap (any time) and route
 /// deliveries to other nodes (at least `lookahead` in the future).
@@ -481,13 +485,12 @@ class ShardedEngine {
 
   /// Queues an event node @p i creates for itself on its shard @p sh.
   void schedule(ShardT& sh, std::size_t i, Time time, EvKind kind,
-                std::uint8_t dir = 0, std::uint32_t slot = kNoSlot) {
+                std::uint16_t link = 0) {
     HeapRec rec;
     rec.time = time;
     rec.order = next_order(i);
-    rec.slot = slot;
     rec.kind = kind;
-    rec.dir = dir;
+    rec.link = link;
     sh.heap.push(rec);
   }
 
@@ -518,10 +521,6 @@ class ShardedEngine {
     CoverageStats stats;
     stopped_ = false;
     for (ShardT& sh : shards_) sh.ctr = ShardCounters{};
-    if (stop()) {
-      stopped_ = true;
-      return stats;
-    }
     const Time start = now_;
     CoverageAccumulator acc(start, holder_count, holders, observer);
     std::vector<std::vector<FlipEntry>*> flip_logs;
@@ -531,7 +530,13 @@ class ShardedEngine {
       pool_ = std::make_unique<util::ThreadPool>(shards_.size());
     }
 
+    // stop() is checked at entry and after every round; a run stopped at
+    // entry reports an empty window whose extremes are the current count.
     for (;;) {
+      if (stop()) {
+        stopped_ = true;
+        break;
+      }
       Time t_next = std::numeric_limits<Time>::infinity();
       for (const ShardT& sh : shards_) {
         if (!sh.heap.empty()) t_next = std::min(t_next, sh.heap.top().time);
@@ -555,10 +560,6 @@ class ShardedEngine {
       acc.merge_shards(flip_logs);
       holder_count = acc.count();
       now_ = std::min(horizon, deadline);
-      if (stop()) {
-        stopped_ = true;
-        break;
-      }
     }
     if (!stopped_ && now_ < deadline) now_ = deadline;
     acc.finish(now_);

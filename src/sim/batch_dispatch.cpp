@@ -14,10 +14,6 @@ namespace {
 util::LaneBackend runnable(util::LaneBackend backend) {
   if (backend == util::LaneBackend::kAvx512 &&
       !util::lane_backend_available(util::LaneBackend::kAvx512)) {
-    backend = util::LaneBackend::kAvx2;
-  }
-  if (backend == util::LaneBackend::kAvx2 &&
-      !util::lane_backend_available(util::LaneBackend::kAvx2)) {
     backend = util::LaneBackend::kU64;
   }
   return backend;
@@ -35,11 +31,6 @@ std::vector<BatchTrialOutcome> run_convergence_block_ssrmin(
       return detail::run_convergence_block_ssrmin_avx512(
           ring, spec, seed, block, max_steps, two_phase);
 #endif
-#if defined(SSRING_LANE_AVX2)
-    case util::LaneBackend::kAvx2:
-      return detail::run_convergence_block_ssrmin_avx2(ring, spec, seed, block,
-                                                       max_steps, two_phase);
-#endif
     default:
       return run_convergence_block<core::SlicedSsrMin>(ring, spec, seed, block,
                                                        max_steps, two_phase);
@@ -55,11 +46,6 @@ std::vector<BatchTrialOutcome> run_convergence_block_kstate(
     case util::LaneBackend::kAvx512:
       return detail::run_convergence_block_kstate_avx512(
           ring, spec, seed, block, max_steps, two_phase);
-#endif
-#if defined(SSRING_LANE_AVX2)
-    case util::LaneBackend::kAvx2:
-      return detail::run_convergence_block_kstate_avx2(ring, spec, seed, block,
-                                                       max_steps, two_phase);
 #endif
     default:
       return run_convergence_block<dijkstra::SlicedKState>(

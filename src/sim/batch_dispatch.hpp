@@ -1,10 +1,10 @@
 // Runtime-dispatched entry points for the batched convergence runs.
 //
 // The templated run_convergence_block<Kernel> compiles for any lane word;
-// the 256/512-lane instantiations live in batch_backend_avx2.cpp /
-// batch_backend_avx512.cpp, which CMake compiles with -mavx2 / -mavx512f
-// when the compiler supports the flags — independent of -march=native, so
-// a generic binary still carries the SIMD backends and picks one via
+// the 512-lane instantiations live in batch_backend_avx512.cpp, which CMake
+// compiles with -mavx512f when the compiler supports the flag — independent
+// of -march=native, so a generic binary still carries the SIMD backend and
+// picks one via
 // util::detect_lane_backend() (cpuid + SSRING_LANE_BACKEND override). The
 // u64 path is always present: requesting a backend the build or CPU lacks
 // silently degrades, never faults.
@@ -41,16 +41,8 @@ std::vector<BatchTrialOutcome> run_convergence_block_kstate(
 
 namespace detail {
 
-// Implemented in the per-ISA translation units (same signature as the
+// Implemented in the per-ISA translation unit (same signature as the
 // public entry points minus the backend tag).
-std::vector<BatchTrialOutcome> run_convergence_block_ssrmin_avx2(
-    const core::SsrMinRing& ring, const LaneDaemonSpec& spec,
-    std::uint64_t seed, BlockRange block, std::uint64_t max_steps,
-    bool two_phase);
-std::vector<BatchTrialOutcome> run_convergence_block_kstate_avx2(
-    const dijkstra::KStateRing& ring, const LaneDaemonSpec& spec,
-    std::uint64_t seed, BlockRange block, std::uint64_t max_steps,
-    bool two_phase);
 std::vector<BatchTrialOutcome> run_convergence_block_ssrmin_avx512(
     const core::SsrMinRing& ring, const LaneDaemonSpec& spec,
     std::uint64_t seed, BlockRange block, std::uint64_t max_steps,

@@ -1,5 +1,5 @@
 // sim::BatchEngine — step one lane word's worth of Monte-Carlo trials at
-// a time (64 for the u64 kernels, 256/512 for the WideWord SIMD backends).
+// a time (64 for the u64 kernels, 512 for the WideWord SIMD backend).
 //
 // A bit-sliced kernel (core::BasicSlicedSsrMin, dijkstra::BasicSlicedKState)
 // holds kLanes independent trials ("lanes") as bit planes; BatchEngine

@@ -11,10 +11,11 @@
 // bitmaps for daemon selection.
 //
 // The lane word is a template parameter: `std::uint64_t` gives the classic
-// 64-lane engine, `WideWord<4>`/`WideWord<8>` give 256/512 lanes. WideWord
+// 64-lane engine, `WideWord<NW>` gives 64*NW lanes (`Lane512 = WideWord<8>`
+// is the AVX-512 backend's word). WideWord
 // is a plain array of u64 limbs with bitwise operators written as limb
 // loops — no intrinsics — so the same header compiles everywhere and the
-// per-TU SIMD backends (see sim/batch_dispatch.cpp) get their vector
+// per-TU SIMD backend (see sim/batch_dispatch.cpp) gets its vector
 // codegen purely from compiler flags on those translation units.
 #pragma once
 
@@ -94,7 +95,6 @@ struct alignas(8 * NW) WideWord {
   friend bool operator==(const WideWord&, const WideWord&) = default;
 };
 
-using Lane256 = WideWord<4>;
 using Lane512 = WideWord<8>;
 
 /// Uniform lane access over the lane-word types. Everything the sliced

@@ -11,8 +11,6 @@ bool cpu_supports(LaneBackend backend) {
   switch (backend) {
     case LaneBackend::kU64:
       return true;
-    case LaneBackend::kAvx2:
-      return __builtin_cpu_supports("avx2");
     case LaneBackend::kAvx512:
       return __builtin_cpu_supports("avx512f");
   }
@@ -26,12 +24,6 @@ bool compiled_in(LaneBackend backend) {
   switch (backend) {
     case LaneBackend::kU64:
       return true;
-    case LaneBackend::kAvx2:
-#if defined(SSRING_LANE_AVX2)
-      return true;
-#else
-      return false;
-#endif
     case LaneBackend::kAvx512:
 #if defined(SSRING_LANE_AVX512)
       return true;
@@ -52,10 +44,8 @@ LaneBackend detect_lane_backend() {
   LaneBackend cap = LaneBackend::kAvx512;
   if (const char* env = std::getenv("SSRING_LANE_BACKEND")) {
     const std::string want(env);
-    if (want == "u64" || want == "scalar") {
+    if (want == "u64" || want == "scalar" || want == "avx2") {
       cap = LaneBackend::kU64;
-    } else if (want == "avx2") {
-      cap = LaneBackend::kAvx2;
     } else if (want == "avx512" || want == "auto" || want.empty()) {
       cap = LaneBackend::kAvx512;
     }
@@ -65,9 +55,6 @@ LaneBackend detect_lane_backend() {
   if (cap == LaneBackend::kAvx512 && lane_backend_available(LaneBackend::kAvx512)) {
     return LaneBackend::kAvx512;
   }
-  if (cap != LaneBackend::kU64 && lane_backend_available(LaneBackend::kAvx2)) {
-    return LaneBackend::kAvx2;
-  }
   return LaneBackend::kU64;
 }
 
@@ -75,8 +62,6 @@ const char* lane_backend_name(LaneBackend backend) {
   switch (backend) {
     case LaneBackend::kU64:
       return "u64";
-    case LaneBackend::kAvx2:
-      return "avx2";
     case LaneBackend::kAvx512:
       return "avx512";
   }
@@ -87,8 +72,6 @@ unsigned lane_backend_lanes(LaneBackend backend) {
   switch (backend) {
     case LaneBackend::kU64:
       return 64;
-    case LaneBackend::kAvx2:
-      return 256;
     case LaneBackend::kAvx512:
       return 512;
   }

@@ -12,10 +12,6 @@ namespace {
 util::LaneBackend runnable(util::LaneBackend backend) {
   if (backend == util::LaneBackend::kAvx512 &&
       !util::lane_backend_available(util::LaneBackend::kAvx512)) {
-    backend = util::LaneBackend::kAvx2;
-  }
-  if (backend == util::LaneBackend::kAvx2 &&
-      !util::lane_backend_available(util::LaneBackend::kAvx2)) {
     backend = util::LaneBackend::kU64;
   }
   return backend;
@@ -30,10 +26,6 @@ std::unique_ptr<PhaseASlice> make_ssrmin_phase_a_slice(
     case util::LaneBackend::kAvx512:
       return detail::make_ssrmin_phase_a_slice_avx512(n, K);
 #endif
-#if defined(SSRING_LANE_AVX2)
-    case util::LaneBackend::kAvx2:
-      return detail::make_ssrmin_phase_a_slice_avx2(n, K);
-#endif
     default:
       return detail::make_ssrmin_phase_a<std::uint64_t>(n, K, "u64");
   }
@@ -45,10 +37,6 @@ std::unique_ptr<PhaseASlice> make_kstate_phase_a_slice(
 #if defined(SSRING_LANE_AVX512)
     case util::LaneBackend::kAvx512:
       return detail::make_kstate_phase_a_slice_avx512(n, K);
-#endif
-#if defined(SSRING_LANE_AVX2)
-    case util::LaneBackend::kAvx2:
-      return detail::make_kstate_phase_a_slice_avx2(n, K);
 #endif
     default:
       return detail::make_kstate_phase_a<std::uint64_t>(n, K, "u64");

@@ -3,7 +3,7 @@
 // which picks the widest backend compiled in AND supported by this CPU
 // (overridable via SSRING_LANE_BACKEND). The u64 slice is always
 // available, so a generic binary runs everywhere and only *accelerates*
-// on AVX2/AVX-512 hosts.
+// on AVX-512 hosts.
 #pragma once
 
 #include <cstdint>
@@ -24,12 +24,8 @@ std::unique_ptr<PhaseASlice> make_kstate_phase_a_slice(
 
 namespace detail {
 
-// Implemented in the per-ISA translation units (the only verify code
-// compiled with -mavx2 / -mavx512f); only called after a cpuid check.
-std::unique_ptr<PhaseASlice> make_ssrmin_phase_a_slice_avx2(std::size_t n,
-                                                            std::uint32_t K);
-std::unique_ptr<PhaseASlice> make_kstate_phase_a_slice_avx2(std::size_t n,
-                                                            std::uint32_t K);
+// Implemented in the per-ISA translation unit (the only verify code
+// compiled with -mavx512f); only called after a cpuid check.
 std::unique_ptr<PhaseASlice> make_ssrmin_phase_a_slice_avx512(std::size_t n,
                                                               std::uint32_t K);
 std::unique_ptr<PhaseASlice> make_kstate_phase_a_slice_avx512(std::size_t n,

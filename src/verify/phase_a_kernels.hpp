@@ -1,8 +1,8 @@
 // Internal: lane-word-generic constructors for the concrete Phase A
 // slices. Included by verify/phase_a_dispatch.cpp (u64) and by the
-// per-ISA translation units (Lane256 / Lane512), which are the only
-// files compiled with -mavx2 / -mavx512f — keep this header out of
-// public includes so those instantiations stay confined to their TUs.
+// per-ISA translation unit (Lane512), the only file compiled with
+// -mavx512f — keep this header out of public includes so those
+// instantiations stay confined to their TUs.
 #pragma once
 
 #include <cstdint>

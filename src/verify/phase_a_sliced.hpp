@@ -28,7 +28,7 @@
 //
 // The interface is type-erased (PhaseASlice) so ModelChecker::run stays
 // generic; concrete slices are built by verify/phase_a_dispatch.cpp, which
-// picks the widest lane word the CPU supports (u64 / AVX2 / AVX-512) via
+// picks the widest lane word the CPU supports (u64 / AVX-512) via
 // util::detect_lane_backend. Only the library's own checker factories
 // install a slice: a checker constructed with custom legitimacy or
 // privilege predicates must keep the scalar path, or the sliced sweep
@@ -87,11 +87,11 @@ class PhaseASlice {
  public:
   virtual ~PhaseASlice() = default;
 
-  /// Lane count per window (64 / 256 / 512). Always a power of two that
+  /// Lane count per window (64 / 512). Always a power of two that
   /// divides TwoLevelBitset::kBlockBits, so windows never straddle chunk
   /// boundaries except at the final total tail.
   virtual unsigned lanes() const = 0;
-  /// Backend label for telemetry ("u64", "avx2", "avx512").
+  /// Backend label for telemetry ("u64", "avx512").
   virtual const char* backend_name() const = 0;
 
   /// Legitimacy of configurations [base, base + count) as u64 words:

@@ -339,7 +339,7 @@ inline const char* to_string(PhaseBStorage m) {
 struct CheckStats {
   PhaseBStorage mode = PhaseBStorage::kAuto;  ///< mode actually run
   bool phase_a_sliced = false;       ///< Phase A ran bit-sliced
-  std::string phase_a_backend;       ///< lane backend ("u64"/"avx2"/"avx512")
+  std::string phase_a_backend;       ///< lane backend ("u64"/"avx512")
   std::uint32_t phase_a_lanes = 0;   ///< configurations per kernel pass
   std::uint64_t memory_budget_bytes = 0;
   std::uint64_t projected_peak_bytes = 0;

@@ -513,18 +513,18 @@ void expect_wide_lockstep_traces(const Ring& ring,
 TEST(BatchEngineWide, SsrMinWideLanesMatchScalarTraces) {
   const core::SsrMinRing ring(5, 6);
   for (const char* daemon : {"central-random", "distributed-synchronous"}) {
-    expect_wide_lockstep_traces<core::BasicSlicedSsrMin<util::Lane256>>(
+    expect_wide_lockstep_traces<core::BasicSlicedSsrMin<util::WideWord<4>>>(
         ring, daemon, 19, 80);
     expect_wide_lockstep_traces<core::BasicSlicedSsrMin<util::Lane512>>(
         ring, daemon, 23, 80);
   }
   // K = 2^d digit-wrap edge at 256 lanes.
-  expect_wide_lockstep_traces<core::BasicSlicedSsrMin<util::Lane256>>(
+  expect_wide_lockstep_traces<core::BasicSlicedSsrMin<util::WideWord<4>>>(
       core::SsrMinRing(7, 8), "distributed-synchronous", 5, 60);
 }
 
 TEST(BatchEngineWide, KStateWideLanesMatchScalarTraces) {
-  expect_wide_lockstep_traces<dijkstra::BasicSlicedKState<util::Lane256>>(
+  expect_wide_lockstep_traces<dijkstra::BasicSlicedKState<util::WideWord<4>>>(
       dijkstra::KStateRing(5, 6), "central-random", 7, 80);
   expect_wide_lockstep_traces<dijkstra::BasicSlicedKState<util::Lane512>>(
       dijkstra::KStateRing(5, 6), "distributed-synchronous", 9, 80);
@@ -566,8 +566,7 @@ TEST(BatchDispatch, AllBackendsProduceIdenticalOutcomes) {
     const auto baseline = run_convergence_block<core::SlicedSsrMin>(
         ring, spec, 99, BlockRange{0, trials}, budget, /*two_phase=*/true);
     for (util::LaneBackend backend :
-         {util::LaneBackend::kU64, util::LaneBackend::kAvx2,
-          util::LaneBackend::kAvx512}) {
+         {util::LaneBackend::kU64, util::LaneBackend::kAvx512}) {
       const auto got = run_convergence_block_ssrmin(
           ring, spec, 99, BlockRange{0, trials}, budget, /*two_phase=*/true,
           backend);
@@ -582,8 +581,7 @@ TEST(BatchDispatch, AllBackendsProduceIdenticalOutcomes) {
     const auto baseline = run_convergence_block<dijkstra::SlicedKState>(
         ring, spec, 55, BlockRange{0, trials}, 2000, /*two_phase=*/false);
     for (util::LaneBackend backend :
-         {util::LaneBackend::kU64, util::LaneBackend::kAvx2,
-          util::LaneBackend::kAvx512}) {
+         {util::LaneBackend::kU64, util::LaneBackend::kAvx512}) {
       const auto got = run_convergence_block_kstate(
           ring, spec, 55, BlockRange{0, trials}, 2000, /*two_phase=*/false,
           backend);
@@ -616,6 +614,15 @@ TEST(BatchDispatch, EnvOverridePinsTheU64Fallback) {
   EXPECT_EQ(util::lane_backend_lanes(util::LaneBackend::kU64), 64u);
   EXPECT_EQ(std::string(util::lane_backend_name(util::LaneBackend::kU64)),
             "u64");
+}
+
+TEST(BatchDispatch, Avx2RequestDegradesToU64) {
+  // There is no 256-lane backend: a request for one takes the best backend
+  // at or below that width, which is u64 even on an AVX-512 host.
+  ::setenv("SSRING_LANE_BACKEND", "avx2", 1);
+  const util::LaneBackend got = util::detect_lane_backend();
+  ::unsetenv("SSRING_LANE_BACKEND");
+  EXPECT_EQ(got, util::LaneBackend::kU64);
 }
 
 }  // namespace

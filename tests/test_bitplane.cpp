@@ -134,7 +134,7 @@ void expect_wide_inc_matches_u64(std::uint64_t seed) {
 }
 
 TEST(DigitIncMod, WideWordsMatchU64LimbForLimb) {
-  expect_wide_inc_matches_u64<Lane256>(21);
+  expect_wide_inc_matches_u64<WideWord<4>>(21);
   expect_wide_inc_matches_u64<Lane512>(22);
 }
 
@@ -220,8 +220,8 @@ TEST(SlicedDigitsApply, RollingSaveMatchesScalarAtWiderRings) {
 }
 
 TEST(SlicedDigitsApply, WideWordsMatchScalarModel) {
-  expect_apply_matches_scalar<Lane256>(3, 4, 31);
-  expect_apply_matches_scalar<Lane256>(2, 8, 32);
+  expect_apply_matches_scalar<WideWord<4>>(3, 4, 31);
+  expect_apply_matches_scalar<WideWord<4>>(2, 8, 32);
   expect_apply_matches_scalar<Lane512>(3, 4, 33);
   expect_apply_matches_scalar<Lane512>(2, 8, 34);
 }
@@ -319,8 +319,8 @@ void expect_traits_consistent() {
 TEST(LaneTraits, U64SurfaceIsConsistent) {
   expect_traits_consistent<std::uint64_t>();
 }
-TEST(LaneTraits, Lane256SurfaceIsConsistent) {
-  expect_traits_consistent<Lane256>();
+TEST(LaneTraits, FourLimbWideWordSurfaceIsConsistent) {
+  expect_traits_consistent<WideWord<4>>();
 }
 TEST(LaneTraits, Lane512SurfaceIsConsistent) {
   expect_traits_consistent<Lane512>();
@@ -354,7 +354,7 @@ void expect_bitwise_ops_match_limbwise(std::uint64_t seed) {
 }
 
 TEST(WideWord, OperatorsMatchLimbwiseU64) {
-  expect_bitwise_ops_match_limbwise<Lane256>(41);
+  expect_bitwise_ops_match_limbwise<WideWord<4>>(41);
   expect_bitwise_ops_match_limbwise<Lane512>(42);
 }
 
@@ -394,7 +394,7 @@ void expect_masked_helpers_match_perlane(std::uint64_t seed) {
 
 TEST(BitplaneHelpers, MaskedOpsMatchPerLaneModel) {
   expect_masked_helpers_match_perlane<std::uint64_t>(51);
-  expect_masked_helpers_match_perlane<Lane256>(52);
+  expect_masked_helpers_match_perlane<WideWord<4>>(52);
   expect_masked_helpers_match_perlane<Lane512>(53);
 }
 

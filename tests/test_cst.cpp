@@ -149,6 +149,27 @@ TEST(CstSimulation, RunUntilDeadlinePassesWhenNeverStopped) {
   EXPECT_DOUBLE_EQ(sim.now(), 20.0);
 }
 
+TEST(CstSimulation, RunUntilStoppedAtEntryReportsTheCurrentHolders) {
+  // A stop predicate that already holds ends the run before any event; the
+  // window is empty, and its holder extremes are the initial count.
+  core::SsrMinRing ring(5, 6);
+  auto sim = make_ssrmin_cst(ring, core::canonical_legitimate(ring, 0),
+                             quiet_net());
+  sim.run(30.0);
+  const std::size_t holders = sim.holder_count();
+  const Time before = sim.now();
+  bool stopped = false;
+  const CoverageStats stats = sim.run_until(
+      [](const CstSimulation<core::SsrMinRing>&) { return true; }, 100.0,
+      &stopped);
+  EXPECT_TRUE(stopped);
+  EXPECT_EQ(sim.now(), before);
+  EXPECT_EQ(stats.observed_time, 0.0);
+  EXPECT_EQ(stats.events, 0u);
+  EXPECT_EQ(stats.min_holders, holders);
+  EXPECT_EQ(stats.max_holders, holders);
+}
+
 TEST(CstSimulation, LossesAreCountedAndRepaired) {
   core::SsrMinRing ring(5, 6);
   NetworkParams p = quiet_net(11);

@@ -356,6 +356,110 @@ TEST(CstGolden, SsrMinLossyFaultPlanTrajectory) {
   }
 }
 
+/// The modelgap workload's network (Figs. 11-13): loss-free, uniform
+/// delays in [0.5, 1.0], service in [0.4, 0.9].
+NetworkParams modelgap_net(std::uint64_t seed) {
+  NetworkParams p = base_net(seed);
+  p.delay_max = 1.0;
+  return p;
+}
+
+/// Runs a fresh simulation from @p make at 1/2/8 workers for @p duration
+/// and checks it against the absolute golden stats and config hash.
+template <typename MakeSim>
+void expect_ring_golden(MakeSim&& make, Time duration,
+                        const CoverageStats& golden,
+                        std::uint64_t config_hash) {
+  for (std::size_t w : kWorkerCounts) {
+    SCOPED_TRACE("workers=" + std::to_string(w));
+    auto sim = make(w);
+    const RunRecord rec = run_fixed(sim, duration, false);
+    expect_same_stats(golden, rec.stats);
+    EXPECT_EQ(rec.now, golden.observed_time);
+    EXPECT_EQ(fnv1a(rec.config), config_hash);
+  }
+}
+
+// Fault-free Figs. 11-13 trajectories at n = 8 (the modelgap workload's
+// ring and network): a loss-free plan exercises none of the fault branches,
+// so these pin the plain delivery / execute / timer / link-free path of
+// each protocol.
+
+TEST(CstGolden, SsrMinModelgapTrajectory) {
+  constexpr CoverageStats kGolden{
+      .observed_time = 0x1.9p+8, .zero_token_time = 0x0p+0,
+      .zero_intervals = 0, .min_holders = 1, .max_holders = 2,
+      .events = 9119, .deliveries = 8494, .transmissions = 8510,
+      .losses = 0, .rule_executions = 227, .crash_restarts = 0,
+      .handovers = 151};
+  const core::SsrMinRing ring(8, 9);
+  expect_ring_golden(
+      [&ring](std::size_t w) {
+        NetworkParams net = modelgap_net(51);
+        net.workers = w;
+        return make_ssrmin_cst(ring, core::canonical_legitimate(ring, 0), net);
+      },
+      400.0, kGolden, 0x7cf32dc724ce4c60ull);
+}
+
+TEST(CstGolden, DijkstraModelgapTrajectory) {
+  constexpr CoverageStats kGolden{
+      .observed_time = 0x1.9p+8, .zero_token_time = 0x1.008a13704047cp+8,
+      .zero_intervals = 219, .min_holders = 0, .max_holders = 1,
+      .events = 9092, .deliveries = 8472, .transmissions = 8488,
+      .losses = 0, .rule_executions = 219, .crash_restarts = 0,
+      .handovers = 438};
+  const dijkstra::KStateRing ring(8, 9);
+  expect_ring_golden(
+      [&ring](std::size_t w) {
+        NetworkParams net = modelgap_net(52);
+        net.workers = w;
+        return make_kstate_cst(ring, dijkstra::KStateConfig(8), net);
+      },
+      400.0, kGolden, 0x8ae5578254208c0cull);
+}
+
+TEST(CstGolden, DualDijkstraModelgapTrajectory) {
+  constexpr CoverageStats kGolden{
+      .observed_time = 0x1.9p+8, .zero_token_time = 0x1.36bb706f3532ap+7,
+      .zero_intervals = 295, .min_holders = 0, .max_holders = 2,
+      .events = 9298, .deliveries = 8448, .transmissions = 8464,
+      .losses = 0, .rule_executions = 447, .crash_restarts = 0,
+      .handovers = 892};
+  const dijkstra::DualKStateRing ring(8, 9);
+  dijkstra::DualConfig initial(8);
+  for (std::size_t i = 0; i < 4; ++i) initial[i].b = 1;
+  expect_ring_golden(
+      [&ring, &initial](std::size_t w) {
+        NetworkParams net = modelgap_net(53);
+        net.workers = w;
+        return make_dual_cst(ring, initial, net);
+      },
+      400.0, kGolden, 0x5f30d2cbd70c5aa4ull);
+}
+
+TEST(CstGolden, KStateTwoNodeRingTrajectory) {
+  // n = 2: each node's predecessor is also its successor, so both of its
+  // links (and both cache slots) face the same neighbour.
+  constexpr CoverageStats kGolden{
+      .observed_time = 0x1.2cp+8, .zero_token_time = 0x1.88dffba32d3dap+7,
+      .zero_intervals = 162, .min_holders = 0, .max_holders = 1,
+      .events = 1807, .deliveries = 1569, .transmissions = 1573,
+      .losses = 181, .rule_executions = 162, .crash_restarts = 0,
+      .handovers = 323};
+  const dijkstra::KStateRing ring(2, 3);
+  expect_ring_golden(
+      [&ring](std::size_t w) {
+        NetworkParams net = modelgap_net(54);
+        net.loss_probability = 0.1;
+        net.workers = w;
+        dijkstra::KStateConfig initial(2);
+        initial[1].x = 2;
+        return make_kstate_cst(ring, initial, net);
+      },
+      300.0, kGolden, 0x62fe8ff9b575dfc3ull);
+}
+
 TEST(CstParallel, WorkerCountIsClampedToRingSize) {
   core::SsrMinRing ring(4, 5);
   NetworkParams net = base_net(30);
@@ -406,14 +510,14 @@ TEST(CstParallel, GraphMisDifferential) {
     EXPECT_EQ(sim.workers(), w);
     msgpass::expect_same_stats(kGolden, sim.run(400.0));
     EXPECT_EQ(sim.now(), kGolden.observed_time);
-    EXPECT_EQ(sim.active_count(), 6u);
+    EXPECT_EQ(sim.holder_count(), 6u);
     std::string config;
     for (const MisState& s : sim.global_config()) {
       config += std::to_string(static_cast<int>(s.status));
     }
     EXPECT_EQ(msgpass::fnv1a(config), 0x0b26277ebfb5cb55ull);
-    if (w == 1) ref_view = sim.active_view();
-    EXPECT_EQ(sim.active_view(), ref_view);
+    if (w == 1) ref_view = sim.token_view();
+    EXPECT_EQ(sim.token_view(), ref_view);
   }
 }
 

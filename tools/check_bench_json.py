@@ -35,7 +35,7 @@ def truthy_cell(value) -> bool:
 
 def check_backend_rows(name: str, doc, problems: list[str]) -> None:
     """Any trajectory produced by a lane-dispatched engine must say which
-    backend ran: every row carries ``backend`` (u64/avx2/avx512, or
+    backend ran: every row carries ``backend`` (u64/avx512, or
     ``scalar`` for non-sliced rows) and ``lanes``, and at least one row
     ran a bit-sliced backend (lanes >= 64 — the u64 fallback exists on
     every host, so this never depends on SIMD hardware). A rerun that

@@ -9,7 +9,7 @@
 //       Convergence-step statistics from random initial configurations.
 //       Trials fan out over W workers (0 = hardware); the table is
 //       identical at every worker count. --batched (default on) runs
-//       64/256/512 bit-sliced trials per lane word (widest backend the CPU
+//       64 or 512 bit-sliced trials per lane word (widest backend the CPU
 //       supports; override with SSRING_LANE_BACKEND) when the daemon has a
 //       lane replay — same table, less wall time.
 //
