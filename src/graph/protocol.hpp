@@ -2,11 +2,16 @@
 // (stabilizing/protocol.hpp) fixes the neighborhood to {pred, succ}; here
 // a rule reads the whole (ordered) neighbor-state vector, which is the
 // state-reading model on arbitrary topologies. Used by the general-
-// topology extensions (the paper's §6 future work).
+// topology extensions (the paper's §6 future work). GraphNeighbourhood
+// runs such protocols on the shared execution models; GraphEngine is the
+// state-reading one.
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <utility>
@@ -14,12 +19,14 @@
 
 #include "graph/topology.hpp"
 #include "stabilizing/daemon.hpp"
+#include "stabilizing/engine.hpp"
 #include "util/assert.hpp"
 
 namespace ssr::graph {
 
-/// Sentinel rule id meaning "no guard holds".
-inline constexpr int kDisabled = 0;
+/// Sentinel rule id meaning "no guard holds" (shared with the ring
+/// framework, whose engine and simulators test rules against it).
+using stab::kDisabled;
 
 // clang-format off
 template <typename P>
@@ -37,124 +44,84 @@ concept GraphProtocol = requires(const P p, std::size_t i,
 };
 // clang-format on
 
-/// Composite-atomicity engine over a graph protocol (mirror of
-/// stab::Engine; reuses the ring daemons).
+/// Graph neighbourhood policy (stabilizing/neighbourhood.hpp) for a
+/// GraphProtocol: link k of node i faces topology().neighbors(i)[k], and
+/// its per-link storage lives at offset(i) + k. It reads the adjacency
+/// from the protocol's Topology (no copy of its own) and drives the
+/// state-reading engine (GraphEngine below), the synchronous rounds and
+/// the CST simulator (graph/cst.hpp).
 template <GraphProtocol P>
-class GraphEngine {
+class GraphNeighbourhood {
  public:
   using State = typename P::State;
-  using Configuration = std::vector<State>;
+  /// Activity predicate on a node's local view (e.g. "is in the MIS").
+  /// Optional: only the message-passing models' holder accounting calls it.
+  using TokenFn = std::function<bool(std::size_t, const State&,
+                                     std::span<const State>)>;
 
-  GraphEngine(P protocol, Configuration initial)
-      : protocol_(std::move(protocol)), config_(std::move(initial)) {
-    SSR_REQUIRE(config_.size() == protocol_.topology().size(),
-                "configuration size must equal node count");
+  explicit GraphNeighbourhood(P protocol, TokenFn active = {})
+      : protocol_(std::move(protocol)), active_(std::move(active)) {
+    const Topology& topo = protocol_.topology();
+    off_.assign(topo.size() + 1, 0);
+    for (std::size_t i = 0; i < topo.size(); ++i) {
+      off_[i + 1] = off_[i] + topo.degree(i);
+    }
   }
 
   const P& protocol() const { return protocol_; }
-  const Configuration& config() const { return config_; }
-  std::size_t size() const { return config_.size(); }
-
-  void reset(Configuration c) {
-    SSR_REQUIRE(c.size() == config_.size(), "node count cannot change");
-    config_ = std::move(c);
+  std::size_t size() const { return off_.size() - 1; }
+  std::size_t degree(std::size_t i) const { return off_[i + 1] - off_[i]; }
+  std::size_t neighbor(std::size_t i, std::size_t k) const {
+    return protocol_.topology().neighbors(i)[k];
   }
-
-  void corrupt(std::size_t i, State s) {
-    SSR_REQUIRE(i < config_.size(), "node index out of range");
-    config_[i] = std::move(s);
+  /// Receiver-side slot of link (i, k): i's position in its neighbour's
+  /// sorted neighbour list (topologies are undirected, so it is there).
+  std::size_t receiver_slot(std::size_t i, std::size_t k) const {
+    const auto back = protocol_.topology().neighbors(neighbor(i, k));
+    return static_cast<std::size_t>(
+        std::lower_bound(back.begin(), back.end(), i) - back.begin());
   }
+  std::size_t offset(std::size_t i) const { return off_[i]; }
 
-  int enabled_rule(std::size_t i) const {
-    gather(i, scratch_);
-    return protocol_.enabled_rule(i, config_[i], scratch_);
+  int enabled_rule(std::size_t i, const State& self, const State* view) const {
+    return protocol_.enabled_rule(i, self, span(i, view));
   }
-
-  bool is_enabled(std::size_t i) const { return enabled_rule(i) != kDisabled; }
-
-  void enabled(std::vector<std::size_t>& indices,
-               std::vector<int>& rules) const {
-    indices.clear();
-    rules.clear();
-    for (std::size_t i = 0; i < config_.size(); ++i) {
-      const int r = enabled_rule(i);
-      if (r != kDisabled) {
-        indices.push_back(i);
-        rules.push_back(r);
-      }
-    }
+  State apply(std::size_t i, int rule, const State& self,
+              const State* view) const {
+    return protocol_.apply(i, rule, self, span(i, view));
   }
-
-  /// Sorted enabled indices, filled into member scratch (no per-call
-  /// allocation). Invalidated by the next enabled_indices()/step_with().
-  const std::vector<std::size_t>& enabled_indices() const {
-    enabled(scratch_indices_, scratch_rules_);
-    return scratch_indices_;
+  bool token(std::size_t i, const State& self, const State* view) const {
+    return active_(i, self, span(i, view));
   }
-
-  /// One composite-atomicity step at the selected (enabled) nodes.
-  std::vector<int> step(std::span<const std::size_t> selected) {
-    SSR_REQUIRE(!selected.empty(), "a step must move at least one node");
-    std::vector<std::pair<std::size_t, State>> writes;
-    std::vector<int> rules;
-    for (std::size_t i : selected) {
-      SSR_REQUIRE(i < config_.size(), "selected node out of range");
-      gather(i, scratch_);
-      const int rule = protocol_.enabled_rule(i, config_[i], scratch_);
-      SSR_REQUIRE(rule != kDisabled, "daemon selected a disabled node");
-      writes.emplace_back(i, protocol_.apply(i, rule, config_[i], scratch_));
-      rules.push_back(rule);
-    }
-    for (auto& [i, s] : writes) config_[i] = std::move(s);
-    ++steps_;
-    moves_ += selected.size();
-    return rules;
-  }
-
-  /// Daemon-driven step; returns false iff no node is enabled (for silent
-  /// algorithms this is the stabilized fixpoint, not an error).
-  bool step_with(stab::Daemon& daemon) {
-    enabled(scratch_indices_, scratch_rules_);
-    if (scratch_indices_.empty()) return false;
-    const stab::EnabledView view{scratch_indices_, scratch_rules_,
-                                 config_.size()};
-    const auto chosen = daemon.select(view);
-    SSR_REQUIRE(!chosen.empty(), "daemon returned an empty selection");
-    step(chosen);
-    return true;
-  }
-
-  std::uint64_t steps() const { return steps_; }
-  std::uint64_t moves() const { return moves_; }
 
  private:
-  void gather(std::size_t i, std::vector<State>& out) const {
-    SSR_REQUIRE(i < config_.size(), "node index out of range");
-    const auto neigh = protocol_.topology().neighbors(i);
-    out.clear();
-    for (std::size_t j : neigh) out.push_back(config_[j]);
+  std::span<const State> span(std::size_t i, const State* view) const {
+    return {view, degree(i)};
   }
 
   P protocol_;
-  Configuration config_;
-  std::uint64_t steps_ = 0;
-  std::uint64_t moves_ = 0;
-  mutable std::vector<State> scratch_;
-  mutable std::vector<std::size_t> scratch_indices_;
-  mutable std::vector<int> scratch_rules_;
+  TokenFn active_;
+  std::vector<std::size_t> off_;  ///< prefix sums of the degrees, size n+1
 };
 
-/// Runs until no node is enabled (silence) or the step budget is spent.
-/// Returns the steps consumed, or nullopt if the budget ran out first.
+/// Composite-atomicity engine over a graph protocol: the one state-reading
+/// engine, with its incremental enabled set, on the graph neighbourhood.
+template <GraphProtocol P>
+using GraphEngine = stab::Engine<P, GraphNeighbourhood<P>>;
+
+/// Runs until no node is enabled (silence) or the step budget is spent,
+/// taking at most @p max_steps steps. Returns the steps consumed, or
+/// nullopt if the budget ran out first.
 template <GraphProtocol P>
 std::optional<std::uint64_t> run_to_silence(GraphEngine<P>& engine,
                                             stab::Daemon& daemon,
                                             std::uint64_t max_steps) {
-  const std::uint64_t start = engine.steps();
-  for (std::uint64_t t = 0; t <= max_steps; ++t) {
-    if (!engine.step_with(daemon)) return engine.steps() - start;
-  }
-  return std::nullopt;
+  const stab::RunResult r = stab::run_until(
+      engine, daemon,
+      [&engine](const auto&) { return engine.enabled_count() == 0; },
+      max_steps);
+  if (!r.reached) return std::nullopt;
+  return r.steps;
 }
 
 }  // namespace ssr::graph

@@ -8,8 +8,9 @@
 // rule, and broadcasts its own state to every neighbor; a periodic timer
 // also rebroadcasts the state so lost messages are eventually repaired.
 // One simulator serves rings and general graphs: a neighbourhood policy
-// (RingNeighbourhood below, graph::GraphNeighbourhood in graph/cst.hpp)
-// supplies the topology and the protocol's view of a node's caches.
+// (stab::RingNeighbourhood, graph::GraphNeighbourhood; see
+// stabilizing/neighbourhood.hpp) supplies the topology and the protocol's
+// view of a node's caches.
 //
 // The network model follows paper §5 ¶1: each directed link carries at most
 // one message at a time. A send onto a busy link parks the *latest* state
@@ -43,11 +44,13 @@
 #include <concepts>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "msgpass/pdes.hpp"
 #include "runtime/fault_plan.hpp"
+#include "stabilizing/neighbourhood.hpp"
 #include "stabilizing/protocol.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -114,67 +117,16 @@ struct NetworkParams {
   double draw_delay(Rng& rng) const;
 };
 
-/// Ring neighbourhood of the CST simulator: pure index arithmetic, no
-/// per-node arrays. Link k = 0 faces the predecessor and k = 1 the
-/// successor (the broadcast order), and node i's two cache slots and two
-/// outgoing links sit at 2i + k. At n = 2 both links face the same node.
-template <stab::RingProtocol P>
-class RingNeighbourhood {
- public:
-  using State = typename P::State;
-  /// Token predicate on a node's local view: (i, self, pred_view,
-  /// succ_view) -> holds a token.
-  using TokenFn =
-      std::function<bool(std::size_t, const State&, const State&, const State&)>;
-
-  RingNeighbourhood(P protocol, TokenFn token)
-      : protocol_(std::move(protocol)),
-        token_(std::move(token)),
-        n_(protocol_.size()) {
-    SSR_REQUIRE(n_ >= 2, "ring needs at least two processes");
-  }
-
-  std::size_t size() const { return n_; }
-  static constexpr std::size_t degree(std::size_t) { return 2; }
-  std::size_t neighbor(std::size_t i, std::size_t k) const {
-    return k == 0 ? stab::pred_index(i, n_) : stab::succ_index(i, n_);
-  }
-  /// Receiver-side cache slot of link (i, k): a frame sent toward the
-  /// successor refreshes the receiver's predecessor cache, and vice versa.
-  static constexpr std::size_t receiver_slot(std::size_t, std::size_t k) {
-    return 1 - k;
-  }
-  /// First cache slot (and outgoing link) of node i.
-  static constexpr std::size_t offset(std::size_t i) { return 2 * i; }
-
-  /// Protocol and predicate calls on node i's local view (its caches).
-  int enabled_rule(std::size_t i, const State& self, const State* view) const {
-    return protocol_.enabled_rule(i, self, view[0], view[1]);
-  }
-  State apply(std::size_t i, int rule, const State& self,
-              const State* view) const {
-    return protocol_.apply(i, rule, self, view[0], view[1]);
-  }
-  bool token(std::size_t i, const State& self, const State* view) const {
-    return token_(i, self, view[0], view[1]);
-  }
-
- private:
-  P protocol_;
-  TokenFn token_;
-  std::size_t n_;
-};
-
 /// CST execution of protocol P over the event-driven network. The
 /// neighbourhood policy Nbhd fixes the topology and how the protocol reads
-/// a node's caches: RingNeighbourhood (the default) for ring protocols,
+/// a node's caches: stab::RingNeighbourhood (the default) for ring protocols,
 /// graph::GraphNeighbourhood for general-graph ones. The policy supplies
 /// the node count, degree(i), the k-th neighbour, the receiver-side cache
 /// slot of link (i, k), the flat cache offset of node i, and the protocol
 /// and token-predicate calls on a node's view. Node i's caches are
 /// cache_[offset(i) + k], one per incident link, and its outgoing link
 /// toward neighbour k has the same index in the link table.
-template <typename P, typename Nbhd = RingNeighbourhood<P>>
+template <typename P, typename Nbhd = stab::RingNeighbourhood<P>>
 class CstSimulation {
  public:
   using State = typename P::State;
@@ -195,6 +147,10 @@ class CstSimulation {
                 "configuration size must equal the node count");
     SSR_REQUIRE(n < (std::size_t{1} << 32),
                 "node count must fit the 32-bit event-key node field");
+    for (std::size_t i = 0; i < n; ++i) {
+      SSR_REQUIRE(nb_.degree(i) <= std::numeric_limits<std::uint16_t>::max(),
+                  "node degree must fit the 16-bit event link field");
+    }
     cache_.resize(nb_.offset(n));
     make_caches_coherent();
     links_.resize(nb_.offset(n));
@@ -235,37 +191,24 @@ class CstSimulation {
 
   /// Node i's cached view of its predecessor / successor (rings only).
   const State& cache_pred(std::size_t i) const
-    requires std::same_as<Nbhd, RingNeighbourhood<P>>
+    requires std::same_as<Nbhd, stab::RingNeighbourhood<P>>
   {
     return cache_.at(nb_.offset(i));
   }
   const State& cache_succ(std::size_t i) const
-    requires std::same_as<Nbhd, RingNeighbourhood<P>>
+    requires std::same_as<Nbhd, stab::RingNeighbourhood<P>>
   {
     return cache_.at(nb_.offset(i) + 1);
   }
 
   /// Definition 2: every cache equals the neighbor's current state.
   bool coherent() const {
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-      for (std::size_t k = 0; k < nb_.degree(i); ++k) {
-        if (!(cache_[nb_.offset(i) + k] == states_[nb_.neighbor(i, k)])) {
-          return false;
-        }
-      }
-    }
-    return true;
+    return stab::caches_coherent(nb_, states_, cache_);
   }
 
   /// Resets every cache to the neighbor's true state (the "legitimate
   /// configuration with cache-coherence" hypothesis of Theorem 3).
-  void make_caches_coherent() {
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-      for (std::size_t k = 0; k < nb_.degree(i); ++k) {
-        cache_[nb_.offset(i) + k] = states_[nb_.neighbor(i, k)];
-      }
-    }
-  }
+  void make_caches_coherent() { stab::make_coherent(nb_, states_, cache_); }
 
   /// Fills every cache with an arbitrary state produced by @p gen (the
   /// "arbitrary cache values" hypothesis of Lemma 9 — bad incoherence).

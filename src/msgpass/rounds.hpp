@@ -3,7 +3,7 @@
 // transformation schemes the paper surveys ([5, 7, 16]).
 //
 // Time advances in rounds. In every round:
-//   1. every node broadcasts its current state to both neighbors; each
+//   1. every node broadcasts its current state to all neighbors; each
 //      individual message is lost independently with probability `loss`;
 //      surviving messages update the receivers' caches at the round edge;
 //   2. every node evaluates its (single, prioritized) enabled rule on its
@@ -18,12 +18,14 @@
 // state-reading model.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
-#include "stabilizing/protocol.hpp"
+#include "stabilizing/neighbourhood.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -43,62 +45,76 @@ struct RoundParams {
   }
 };
 
-template <stab::RingProtocol P>
+/// Synchronous rounds of protocol P on the topology of the neighbourhood
+/// policy Nbhd (the ring by default; graph::GraphNeighbourhood for
+/// general graphs). Node i's caches are cache_[offset(i) + k], one per
+/// incident link, as in CstSimulation.
+template <typename P, typename Nbhd = stab::RingNeighbourhood<P>>
 class RoundSimulation {
  public:
   using State = typename P::State;
   using Config = std::vector<State>;
-  using TokenFn =
-      std::function<bool(std::size_t, const State&, const State&, const State&)>;
+  using TokenFn = typename Nbhd::TokenFn;
 
   RoundSimulation(P protocol, Config initial, TokenFn token,
                   RoundParams params)
-      : protocol_(std::move(protocol)),
+      : nb_(std::move(protocol), std::move(token)),
         params_(params),
-        token_(std::move(token)),
         rng_(params.seed),
-        states_(std::move(initial)),
-        cache_pred_(states_.size()),
-        cache_succ_(states_.size()) {
+        states_(std::move(initial)) {
     params_.validate();
-    SSR_REQUIRE(states_.size() == protocol_.size(),
-                "configuration size must equal ring size");
+    SSR_REQUIRE(states_.size() == nb_.size(),
+                "configuration size must equal the node count");
+    cache_.resize(nb_.offset(states_.size()));
     make_caches_coherent();
   }
+
+  /// Without a token predicate (holder_count() is then unavailable).
+  RoundSimulation(P protocol, Config initial, RoundParams params)
+      : RoundSimulation(std::move(protocol), std::move(initial), TokenFn{},
+                        params) {}
 
   std::size_t size() const { return states_.size(); }
   std::uint64_t rounds() const { return rounds_; }
   const Config& global_config() const { return states_; }
-  const State& cache_pred(std::size_t i) const { return cache_pred_.at(i); }
-  const State& cache_succ(std::size_t i) const { return cache_succ_.at(i); }
 
-  void make_caches_coherent() {
-    const std::size_t n = states_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      cache_pred_[i] = states_[stab::pred_index(i, n)];
-      cache_succ_[i] = states_[stab::succ_index(i, n)];
-    }
+  /// Node i's cached view of its predecessor / successor (rings only).
+  const State& cache_pred(std::size_t i) const
+    requires std::same_as<Nbhd, stab::RingNeighbourhood<P>>
+  {
+    return cache_.at(nb_.offset(i));
+  }
+  const State& cache_succ(std::size_t i) const
+    requires std::same_as<Nbhd, stab::RingNeighbourhood<P>>
+  {
+    return cache_.at(nb_.offset(i) + 1);
   }
 
+  void make_caches_coherent() { stab::make_coherent(nb_, states_, cache_); }
+
+  /// Fills every cache with a state produced by @p gen, link slot by link
+  /// slot: slot 0 of every node in ascending order, then slot 1, and so on
+  /// (on a ring: all predecessor caches, then all successor caches).
   void randomize_caches(const std::function<State(Rng&)>& gen) {
-    for (auto& s : cache_pred_) s = gen(rng_);
-    for (auto& s : cache_succ_) s = gen(rng_);
+    for (std::size_t k = 0, filled = 1; filled > 0; ++k) {
+      filled = 0;
+      for (std::size_t i = 0; i < states_.size(); ++i) {
+        if (k >= nb_.degree(i)) continue;
+        cache_[nb_.offset(i) + k] = gen(rng_);
+        ++filled;
+      }
+    }
   }
 
   bool coherent() const {
-    const std::size_t n = states_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!(cache_pred_[i] == states_[stab::pred_index(i, n)])) return false;
-      if (!(cache_succ_[i] == states_[stab::succ_index(i, n)])) return false;
-    }
-    return true;
+    return stab::caches_coherent(nb_, states_, cache_);
   }
 
   /// Number of nodes holding a token by their local view.
   std::size_t holder_count() const {
     std::size_t count = 0;
     for (std::size_t i = 0; i < states_.size(); ++i) {
-      if (token_(i, states_[i], cache_pred_[i], cache_succ_[i])) ++count;
+      if (nb_.token(i, states_[i], view(i))) ++count;
     }
     return count;
   }
@@ -107,25 +123,24 @@ class RoundSimulation {
   /// executions it performed.
   std::size_t step() {
     const std::size_t n = states_.size();
-    // Phase 1: broadcast (reads pre-round states, writes caches).
+    // Phase 1: broadcast (reads pre-round states, writes caches). One loss
+    // draw per directed link, sender by sender, each sender's links in
+    // descending order (on a ring: toward the successor, then toward the
+    // predecessor).
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t p = stab::pred_index(i, n);
-      const std::size_t s = stab::succ_index(i, n);
-      // i -> successor (arrives as the successor's pred cache)
-      if (!rng_.bernoulli(params_.loss)) cache_pred_[s] = states_[i];
-      // i -> predecessor
-      if (!rng_.bernoulli(params_.loss)) cache_succ_[p] = states_[i];
+      for (std::size_t k = nb_.degree(i); k-- > 0;) {
+        if (rng_.bernoulli(params_.loss)) continue;
+        const std::size_t j = nb_.neighbor(i, k);
+        cache_[nb_.offset(j) + nb_.receiver_slot(i, k)] = states_[i];
+      }
     }
     // Phase 2: simultaneous rule execution on local views.
     std::vector<std::pair<std::size_t, State>> writes;
     for (std::size_t i = 0; i < n; ++i) {
-      const int rule =
-          protocol_.enabled_rule(i, states_[i], cache_pred_[i], cache_succ_[i]);
+      const int rule = nb_.enabled_rule(i, states_[i], view(i));
       if (rule == stab::kDisabled) continue;
       if (!rng_.bernoulli(params_.exec_probability)) continue;
-      writes.emplace_back(
-          i, protocol_.apply(i, rule, states_[i], cache_pred_[i],
-                             cache_succ_[i]));
+      writes.emplace_back(i, nb_.apply(i, rule, states_[i], view(i)));
     }
     for (auto& [i, s] : writes) states_[i] = std::move(s);
     ++rounds_;
@@ -151,15 +166,18 @@ class RoundSimulation {
   }
 
  private:
-  P protocol_;
+  /// Node i's local view: its cache slots, in link order.
+  const State* view(std::size_t i) const {
+    return cache_.data() + nb_.offset(i);
+  }
+
+  Nbhd nb_;
   RoundParams params_;
-  TokenFn token_;
   Rng rng_;
   std::uint64_t rounds_ = 0;
 
   Config states_;
-  Config cache_pred_;
-  Config cache_succ_;
+  Config cache_;  ///< cache_[offset(i) + k]: view of neighbour k
 };
 
 }  // namespace ssr::msgpass

@@ -7,15 +7,19 @@
 // any command, which is what the composite atomicity + distributed daemon
 // semantics require (and what makes synchronous schedules meaningful).
 //
+// One engine serves rings and general graphs: a neighbourhood policy
+// (stabilizing/neighbourhood.hpp) names each process's neighbours and
+// calls the protocol on their states, gathered in link order.
+//
 // Enabled-set maintenance is incremental: because a guard of P_i reads
-// only the states of P_{i-1}, P_i and P_{i+1} (the RingProtocol contract),
-// a step that moves k processes can only change enabledness at those k
-// processes and their ring neighbors. The engine therefore keeps a
+// only the states of P_i and its neighbours (the neighbourhood locality
+// contract), a step that moves k processes can only change enabledness at
+// those k processes and their neighbours. The engine therefore keeps a
 // persistent per-process rule cache plus the sorted enabled set, and
-// repairs both in O(k) guard evaluations per step instead of rescanning
-// all n processes. The naive full scan survives as a debug oracle
-// (set_debug_scan_checks / enabled_cache_consistent) and is exercised by a
-// differential test.
+// repairs both in O(k * degree) guard evaluations per step instead of
+// rescanning all n processes. The naive full scan survives as a debug
+// oracle (set_debug_scan_checks / enabled_cache_consistent) and is
+// exercised by a differential test.
 #pragma once
 
 #include <algorithm>
@@ -25,28 +29,34 @@
 #include <vector>
 
 #include "stabilizing/daemon.hpp"
-#include "stabilizing/protocol.hpp"
+#include "stabilizing/neighbourhood.hpp"
 #include "util/assert.hpp"
 
 namespace ssr::stab {
 
-/// Executes a RingProtocol over an explicit configuration.
-template <RingProtocol P>
+/// Executes protocol P over an explicit configuration, on the topology of
+/// the neighbourhood policy Nbhd (the ring by default).
+template <typename P, typename Nbhd = RingNeighbourhood<P>>
 class Engine {
  public:
   using State = typename P::State;
   using Configuration = std::vector<State>;
 
   Engine(P protocol, Configuration initial)
-      : protocol_(std::move(protocol)), config_(std::move(initial)) {
-    SSR_REQUIRE(config_.size() == protocol_.size(),
-                "configuration size must equal ring size");
-    SSR_REQUIRE(config_.size() >= 2, "ring needs at least two processes");
+      : nb_(std::move(protocol)), config_(std::move(initial)) {
+    SSR_REQUIRE(config_.size() == nb_.size(),
+                "configuration size must equal the node count");
+    std::size_t max_degree = 0;
+    for (std::size_t i = 0; i < config_.size(); ++i) {
+      max_degree = std::max(max_degree, nb_.degree(i));
+    }
+    view_.resize(max_degree);
     rule_cache_.resize(config_.size());
+    queued_.assign(config_.size(), 0);
     rebuild_enabled_cache();
   }
 
-  const P& protocol() const { return protocol_; }
+  const P& protocol() const { return nb_.protocol(); }
   const Configuration& config() const { return config_; }
   std::size_t size() const { return config_.size(); }
 
@@ -58,15 +68,12 @@ class Engine {
   }
 
   /// Overwrites one process's state (single-process transient fault).
-  /// Repairs the enabled cache at i and its two neighbors only.
+  /// Repairs the enabled cache at i and its neighbors only.
   void corrupt(std::size_t i, State s) {
     SSR_REQUIRE(i < config_.size(), "process index out of range");
     config_[i] = std::move(s);
-    const std::size_t n = config_.size();
     dirty_.clear();
-    dirty_.push_back(pred_index(i, n));
-    dirty_.push_back(i);
-    dirty_.push_back(succ_index(i, n));
+    mark_dirty(i);
     repair_enabled_cache();
   }
 
@@ -118,20 +125,15 @@ class Engine {
     // this loop.
     for (std::size_t i : selected) {
       SSR_REQUIRE(i < n, "selected process index out of range");
-      const State& self = config_[i];
-      const State& pred = config_[pred_index(i, n)];
-      const State& succ = config_[succ_index(i, n)];
       const int rule = rule_cache_[i];
       SSR_REQUIRE(rule != kDisabled, "daemon selected a disabled process");
-      scratch_writes_.emplace_back(i, protocol_.apply(i, rule, self, pred, succ));
+      scratch_writes_.emplace_back(i, nb_.apply(i, rule, config_[i], view(i)));
       step_rules_.push_back(rule);
     }
     dirty_.clear();
     for (auto& [i, s] : scratch_writes_) {
       config_[i] = std::move(s);
-      dirty_.push_back(pred_index(i, n));
-      dirty_.push_back(i);
-      dirty_.push_back(succ_index(i, n));
+      mark_dirty(i);
     }
     repair_enabled_cache();
     ++steps_;
@@ -160,12 +162,10 @@ class Engine {
   /// Total process moves (sum of selection sizes over all steps).
   std::uint64_t moves() const { return moves_; }
 
-  /// Uncached enabled rule at i — the pre-incremental O(1)-per-process
-  /// guard evaluation, kept as the oracle for cache validation.
+  /// Uncached enabled rule at i — the pre-incremental guard evaluation,
+  /// kept as the oracle for cache validation.
   int scan_rule(std::size_t i) const {
-    const std::size_t n = config_.size();
-    return protocol_.enabled_rule(i, config_[i], config_[pred_index(i, n)],
-                                  config_[succ_index(i, n)]);
+    return nb_.enabled_rule(i, config_[i], view(i));
   }
 
   /// Full-scan differential check: does the incremental cache equal a
@@ -192,6 +192,29 @@ class Engine {
   void set_debug_scan_checks(bool on) { debug_scan_checks_ = on; }
 
  private:
+  /// Node i's neighbour states in link order, gathered into view_. Valid
+  /// until the next view() call.
+  const State* view(std::size_t i) const {
+    for (std::size_t k = 0; k < nb_.degree(i); ++k) {
+      view_[k] = config_[nb_.neighbor(i, k)];
+    }
+    return view_.data();
+  }
+
+  /// Queues i and its neighbours (every guard that reads i) for repair,
+  /// each process at most once per repair.
+  void mark_dirty(std::size_t i) {
+    queue_dirty(i);
+    for (std::size_t k = 0; k < nb_.degree(i); ++k) {
+      queue_dirty(nb_.neighbor(i, k));
+    }
+  }
+  void queue_dirty(std::size_t i) {
+    if (queued_[i]) return;
+    queued_[i] = 1;
+    dirty_.push_back(i);
+  }
+
   /// O(n) rebuild, used at construction and reset().
   void rebuild_enabled_cache() {
     enabled_indices_.clear();
@@ -206,13 +229,12 @@ class Engine {
     }
   }
 
-  /// Re-evaluates the guards at the (unsorted, possibly duplicated)
-  /// indices in dirty_ and splices the changes into the sorted enabled
-  /// set. Guard work is O(|dirty|); the splice is a linear merge over the
-  /// enabled list, which involves no guard evaluations.
+  /// Re-evaluates the guards at the (unsorted, distinct) indices in
+  /// dirty_ and splices the changes into the sorted enabled set. Guard
+  /// work is O(|dirty|); the splice is a linear merge over the enabled
+  /// list, which involves no guard evaluations.
   void repair_enabled_cache() {
     std::sort(dirty_.begin(), dirty_.end());
-    dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
     merged_indices_.clear();
     merged_rules_.clear();
     std::size_t a = 0;  // cursor into the old enabled list
@@ -223,6 +245,7 @@ class Engine {
         ++a;
       }
       if (a < enabled_indices_.size() && enabled_indices_[a] == d) ++a;
+      queued_[d] = 0;
       const int r = scan_rule(d);
       rule_cache_[d] = r;
       if (r != kDisabled) {
@@ -239,8 +262,11 @@ class Engine {
     enabled_rules_.swap(merged_rules_);
   }
 
-  P protocol_;
+  Nbhd nb_;
   Configuration config_;
+  // Gather buffer for view(), sized to the maximum degree. Written by const
+  // guard evaluations, so one engine is not for concurrent readers.
+  mutable Configuration view_;
   std::uint64_t steps_ = 0;
   std::uint64_t moves_ = 0;
   bool debug_scan_checks_ = false;
@@ -252,6 +278,7 @@ class Engine {
   std::vector<int> enabled_rules_;
   // Scratch for repair_enabled_cache (reused to avoid per-step allocation).
   std::vector<std::size_t> dirty_;
+  std::vector<std::uint8_t> queued_;  ///< queued_[i]: i is in dirty_
   std::vector<std::size_t> merged_indices_;
   std::vector<int> merged_rules_;
   // Reused across step calls (same reason); step_rules_ doubles as the
@@ -274,9 +301,9 @@ struct RunResult {
 /// Runs the engine under the daemon until predicate(config) holds, a
 /// deadlock occurs, or max_steps is exhausted. The predicate is evaluated
 /// on the initial configuration first (zero-step success is possible).
-template <RingProtocol P, typename Predicate>
-RunResult run_until(Engine<P>& engine, Daemon& daemon, Predicate&& predicate,
-                    std::uint64_t max_steps) {
+template <typename P, typename Nbhd, typename Predicate>
+RunResult run_until(Engine<P, Nbhd>& engine, Daemon& daemon,
+                    Predicate&& predicate, std::uint64_t max_steps) {
   RunResult result;
   const std::uint64_t steps0 = engine.steps();
   const std::uint64_t moves0 = engine.moves();

@@ -1,11 +1,12 @@
 // Differential tests for the incremental enabled-set cache in stab::Engine.
 //
 // The engine maintains the enabled set in O(k) per step by exploiting the
-// RingProtocol locality contract (guards read only pred/self/succ). These
-// tests drive SSRmin and Dijkstra rings through thousands of randomly
-// daemon-selected steps — plus corrupt() faults and reset()s — and after
-// every mutation compare the cache against an independent naive full scan
-// (scan_rule), the pre-incremental oracle.
+// neighbourhood locality contract (a guard reads only the node and its
+// neighbours). These tests drive SSRmin and Dijkstra rings, and MIS and
+// leader-election graphs, through thousands of randomly daemon-selected
+// steps — plus corrupt() faults and reset()s — and after every mutation
+// compare the cache against an independent naive full scan (scan_rule),
+// the pre-incremental oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +16,9 @@
 
 #include "core/ssrmin.hpp"
 #include "dijkstra/kstate.hpp"
+#include "elect/leader.hpp"
+#include "graph/mis.hpp"
+#include "graph/protocol.hpp"
 #include "stabilizing/daemon.hpp"
 #include "stabilizing/engine.hpp"
 #include "util/rng.hpp"
@@ -27,8 +31,9 @@ namespace {
 // lists against the cache. Deliberately does not reuse
 // enabled_cache_consistent() alone, so a bug in that helper cannot mask a
 // cache bug.
-template <RingProtocol P>
-::testing::AssertionResult cache_matches_full_scan(const Engine<P>& engine) {
+template <typename P, typename Nbhd>
+::testing::AssertionResult cache_matches_full_scan(
+    const Engine<P, Nbhd>& engine) {
   std::vector<std::size_t> indices;
   std::vector<int> rules;
   for (std::size_t i = 0; i < engine.size(); ++i) {
@@ -64,15 +69,19 @@ template <RingProtocol P>
 }
 
 // Drives the engine with randomly chosen daemons, random corrupt() faults
-// and occasional reset()s, checking the cache after every mutation.
-template <RingProtocol P, typename RandomState>
+// and occasional reset()s, checking the cache after every mutation (and,
+// through the debug scan checks, inside every step).
+template <typename P, typename Nbhd = RingNeighbourhood<P>,
+          typename RandomState>
 void differential_run(const P& protocol, Rng rng, RandomState&& random_state,
                       int steps) {
-  typename Engine<P>::Configuration initial;
+  using EngineT = Engine<P, Nbhd>;
+  typename EngineT::Configuration initial;
   for (std::size_t i = 0; i < protocol.size(); ++i) {
     initial.push_back(random_state(rng));
   }
-  Engine<P> engine(protocol, std::move(initial));
+  EngineT engine(protocol, std::move(initial));
+  engine.set_debug_scan_checks(true);
   ASSERT_TRUE(cache_matches_full_scan(engine));
 
   const std::vector<std::string> daemon_names{
@@ -91,7 +100,7 @@ void differential_run(const P& protocol, Rng rng, RandomState&& random_state,
       engine.corrupt(i, random_state(rng));
     } else if (action < 6) {
       // Full configuration replacement.
-      typename Engine<P>::Configuration c;
+      typename EngineT::Configuration c;
       for (std::size_t i = 0; i < engine.size(); ++i) {
         c.push_back(random_state(rng));
       }
@@ -99,9 +108,9 @@ void differential_run(const P& protocol, Rng rng, RandomState&& random_state,
     } else {
       Daemon& daemon = *daemons[rng.below(daemons.size())];
       if (!engine.step_with(daemon)) {
-        // Deadlock would falsify the paper's no-deadlock lemma for these
-        // protocols; re-randomize instead of spinning.
-        typename Engine<P>::Configuration c;
+        // A ring deadlock would falsify the paper's no-deadlock lemma; a
+        // silent graph protocol has converged. Re-randomize either way.
+        typename EngineT::Configuration c;
         for (std::size_t i = 0; i < engine.size(); ++i) {
           c.push_back(random_state(rng));
         }
@@ -132,6 +141,44 @@ TEST(EngineIncremental, DifferentialDijkstraRings) {
         [&ring](Rng& rng) {
           return dijkstra::KStateLocal{
               static_cast<std::uint32_t>(rng.below(ring.modulus()))};
+        },
+        1500);
+  }
+}
+
+// Graph protocols on the CSR neighbourhood: a move at node i must repair
+// every neighbour of i, whatever its degree.
+TEST(EngineIncremental, DifferentialMisGraphs) {
+  Rng topology_rng(3000);
+  for (std::size_t n : {5, 12, 24}) {
+    const graph::Topology g =
+        graph::Topology::random_connected(n, 0.25, topology_rng);
+    differential_run<graph::TurauMis,
+                     graph::GraphNeighbourhood<graph::TurauMis>>(
+        graph::TurauMis(g), Rng(3000 + n),
+        [](Rng& rng) {
+          return graph::MisState{static_cast<graph::MisStatus>(rng.below(3))};
+        },
+        1500);
+  }
+}
+
+TEST(EngineIncremental, DifferentialLeaderRings) {
+  Rng ids_rng(4000);
+  for (std::size_t n : {3, 6, 11}) {
+    std::vector<std::uint32_t> ids(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ids[i] = static_cast<std::uint32_t>(2 * i + 1);
+    }
+    ids_rng.shuffle(ids);
+    const elect::MinIdLeader ring(ids);
+    differential_run<elect::MinIdLeader,
+                     graph::GraphNeighbourhood<elect::MinIdLeader>>(
+        ring, Rng(4000 + n),
+        [&ring](Rng& rng) {
+          return elect::LeaderState{
+              static_cast<std::uint32_t>(rng.below(ring.max_id() + 1)),
+              static_cast<std::uint32_t>(rng.below(ring.size()))};
         },
         1500);
   }

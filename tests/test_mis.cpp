@@ -9,7 +9,6 @@
 #include "graph/check.hpp"
 #include "graph/cst.hpp"
 #include "graph/protocol.hpp"
-#include "graph/rounds.hpp"
 #include "stabilizing/daemon.hpp"
 
 namespace ssr::graph {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/legitimacy.hpp"
 #include "msgpass/factories.hpp"
 
@@ -161,6 +163,91 @@ TEST(Rounds, SizeMismatchRejected) {
   RoundParams p;
   EXPECT_THROW(make_ssrmin_rounds(ring, core::SsrConfig(3), p),
                std::invalid_argument);
+}
+
+// --- absolute trajectory goldens -------------------------------------------
+//
+// Lossy rounds with randomized firing from arbitrary states and arbitrary
+// caches: the rounds to legitimacy and the FNV-1a hash of the final
+// configuration pin every loss and firing draw, so a refactor of the round
+// simulator cannot reorder its random stream unnoticed.
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string encode(const core::SsrConfig& c) {
+  std::string out;
+  for (const core::SsrState& s : c) {
+    out += std::to_string(s.x) + (s.rts ? "r" : "-") + (s.tra ? "t" : "-");
+  }
+  return out;
+}
+
+std::string encode(const dijkstra::KStateConfig& c) {
+  std::string out;
+  for (const dijkstra::KStateLocal& s : c) out += std::to_string(s.x) + ",";
+  return out;
+}
+
+RoundParams golden_params(std::uint64_t seed) {
+  RoundParams p;
+  p.loss = 0.2;
+  p.exec_probability = 0.8;
+  p.seed = seed;
+  return p;
+}
+
+TEST(RoundsGolden, SsrMinLossyRandomizedCaches) {
+  const core::SsrMinRing ring(9, 10);
+  Rng rng(61);
+  auto sim = make_ssrmin_rounds(ring, core::random_config(ring, rng),
+                                golden_params(62));
+  sim.randomize_caches([](Rng& r) {
+    core::SsrState s;
+    s.x = static_cast<std::uint32_t>(r.below(10));
+    s.rts = r.bernoulli(0.5);
+    s.tra = r.bernoulli(0.5);
+    return s;
+  });
+  const auto rounds = sim.run_until(
+      [&ring](const core::SsrConfig& c) {
+        return core::is_legitimate(ring, c);
+      },
+      100000);
+  ASSERT_TRUE(rounds.has_value());
+  EXPECT_EQ(*rounds, 32u);
+  EXPECT_EQ(fnv1a(encode(sim.global_config())), 0xd1123f7c5a4bce65ull);
+  // Closure under further lossy rounds, pinned too.
+  for (int r = 0; r < 100; ++r) sim.step();
+  EXPECT_EQ(sim.holder_count(), 2u);
+  EXPECT_EQ(fnv1a(encode(sim.global_config())), 0xb6c294a1eca008bcull);
+}
+
+TEST(RoundsGolden, KStateLossyRandomizedCaches) {
+  const dijkstra::KStateRing ring(9, 10);
+  Rng rng(63);
+  auto sim = make_kstate_rounds(ring, dijkstra::random_config(ring, rng),
+                                golden_params(64));
+  sim.randomize_caches([](Rng& r) {
+    return dijkstra::KStateLocal{static_cast<std::uint32_t>(r.below(10))};
+  });
+  const auto rounds = sim.run_until(
+      [&ring](const dijkstra::KStateConfig& c) {
+        return dijkstra::is_legitimate(ring, c);
+      },
+      100000);
+  ASSERT_TRUE(rounds.has_value());
+  EXPECT_EQ(*rounds, 10u);
+  EXPECT_EQ(fnv1a(encode(sim.global_config())), 0x6ad6d80093ec1a7full);
+  for (int r = 0; r < 100; ++r) sim.step();
+  EXPECT_EQ(sim.holder_count(), 0u);
+  EXPECT_EQ(fnv1a(encode(sim.global_config())), 0x80094f0778eebdc5ull);
 }
 
 }  // namespace

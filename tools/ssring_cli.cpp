@@ -71,6 +71,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -427,16 +428,21 @@ int cmd_mis(int argc, char** argv) {
   const std::size_t n = arg_n(argc, argv, "9");
   const std::string topo_name = value_of(argc, argv, "--topology", "ring");
   Rng rng(arg_seed(argc, argv));
-  graph::Topology topo = [&]() {
+  const auto topo_opt = [&]() -> std::optional<graph::Topology> {
     if (topo_name == "ring") return graph::Topology::ring(n);
     if (topo_name == "path") return graph::Topology::path(n);
     if (topo_name == "star") return graph::Topology::star(n);
     if (topo_name == "complete") return graph::Topology::complete(n);
     if (topo_name == "random")
       return graph::Topology::random_connected(n, 0.25, rng);
-    std::cerr << "unknown --topology: " << topo_name << "; using ring\n";
-    return graph::Topology::ring(n);
+    return std::nullopt;
   }();
+  if (!topo_opt) {
+    std::cerr << "unknown --topology: " << topo_name
+              << " (ring | path | star | complete | random)\n";
+    return 2;
+  }
+  const graph::Topology& topo = *topo_opt;
   graph::TurauMis mis(topo);
   graph::GraphEngine<graph::TurauMis> engine(mis,
                                              graph::random_config(topo, rng));
