@@ -17,8 +17,11 @@
 //
 // Besides the usual table/export, the run always writes
 // BENCH_modelcheck.json (rows: protocol, n, K, configs, threads, mode,
-// wall_ms, peak_mib, spill_bytes, rss_mib, backend, lanes) so successive
-// PRs can track the checker's throughput and footprint trajectory.
+// wall_ms, peak_mib, spill_bytes, rss_mib, backend, lanes, orbit) so
+// successive changes can track the checker's throughput and footprint
+// trajectory. `configs` is the full space; `orbit` is the counter-shift
+// orbit size (K for the library's protocols), so the checker processed
+// configs / orbit representatives, and `peak_mib` describes those.
 // `backend`/`lanes` name the bit-sliced Phase A engine (u64/avx512 x
 // 64/512) — or "scalar"/1 when the odometer sweep ran instead.
 // `spill_bytes` is the on-disk move stream (0 for the in-RAM modes) and
@@ -105,7 +108,8 @@ void add_trajectory_row(ssr::TextTable& trajectory, const std::string& name,
       .cell(r.stats.spill_bytes)
       .cell(peak_rss_mib(), 1)
       .cell(phase_a_backend(r))
-      .cell(phase_a_lanes(r));
+      .cell(phase_a_lanes(r))
+      .cell(r.stats.orbit_size);
 }
 
 /// One E3 table row plus its BENCH_modelcheck.json trajectory row.
@@ -122,6 +126,7 @@ void add_rows(ssr::TextTable& table, ssr::TextTable& trajectory,
       .cell(threads)
       .cell(ssr::verify::to_string(r.stats.mode))
       .cell(phase_a_backend(r))
+      .cell(r.stats.orbit_size)
       .cell(r.deadlock_free)
       .cell(r.closure_holds)
       .cell(r.token_bounds_hold)
@@ -272,13 +277,14 @@ int run_smoke() {
   // mode's resident projection and the cheapest in-RAM projection and
   // the auto-picker must go out of core — with the same answers.
   {
+    // Projections count orbit representatives, as the checker does.
     const auto checker = verify::make_ssrmin_checker(4, 5);
-    const std::uint64_t total = checker.codec().total();
+    const std::uint64_t reps = checker.codec().representatives();
     auto options = ssr_options;
     options.memory_budget_bytes =
-        (verify::projected_spill_resident_bytes(total, 4,
+        (verify::projected_spill_resident_bytes(reps, 4,
                                                 checker.codec().radix()) +
-         verify::projected_csrfree_bytes(total)) /
+         verify::projected_csrfree_bytes(reps)) /
         2;
     double ms = 0.0;
     const auto forced = run_once(checker, options, 2,
@@ -314,12 +320,12 @@ int main(int argc, char** argv) {
       ">= 1 privileged process anywhere, and every execution converges");
 
   TextTable table({"protocol", "n", "K", "configs", "legit", "threads",
-                   "mode", "phaseA", "no-deadlock", "closure", "tokens[1,2]",
+                   "mode", "phaseA", "orbit", "no-deadlock", "closure", "tokens[1,2]",
                    "convergence", "worst steps", "min priv anywhere",
                    "peakMiB", "ms"});
   TextTable trajectory({"protocol", "n", "K", "configs", "threads", "mode",
                         "wall_ms", "peak_mib", "spill_bytes", "rss_mib",
-                        "backend", "lanes"});
+                        "backend", "lanes", "orbit"});
 
   verify::CheckOptions ssr_options;  // defaults: privileged in [1,2]
   run_row(table, trajectory, "ssrmin", 3, 4, verify::make_ssrmin_checker(3, 4),
@@ -383,19 +389,34 @@ int main(int argc, char** argv) {
             verify::make_kstate_checker(9, 9), dij_options);
   }
 
-  // The out-of-core headline: ssrmin(6,7) = 28^6 ≈ 482M configurations
-  // under a 2.5 GiB budget that no in-RAM mode fits (compressed projects
-  // ≈ 6.9 GiB, csr-free ≈ 3.0 GiB), so kAuto must take the spill tier —
-  // ≈ 2.8 GiB of move records stream through the temp file while ≈ 2 GiB
-  // stay resident. Gated on its own env knob besides full mode because
-  // the run takes the better part of an hour single-core.
+  // The out-of-core headline and its in-RAM known answer: ssrmin(6,7) =
+  // 28^6 ≈ 482M configurations, 68.8M orbit representatives. Forced
+  // through the spill tier under a 2.5 GiB budget at one worker, then
+  // checked in RAM (compressed) at hardware concurrency: both reports
+  // must agree, with worst case 120. Sized by representatives, kAuto
+  // would now pick compressed under that budget, so the spill row names
+  // its mode. Gated on its own env knob besides full mode because the
+  // single-worker spill run takes minutes.
   if (bench::full_mode() ||
       std::getenv("SSRING_BENCH_SPILL_BIG") != nullptr) {
-    verify::CheckOptions spill_options = ssr_options;
-    spill_options.memory_budget_bytes = std::uint64_t{5} << 29;  // 2.5 GiB
-    run_row(table, trajectory, "ssrmin", 6, 7,
-            verify::make_ssrmin_checker(6, 7), spill_options,
-            verify::PhaseBStorage::kAuto, {1});
+    verify::CheckOptions big_options = ssr_options;
+    big_options.memory_budget_bytes = std::uint64_t{5} << 29;  // 2.5 GiB
+    const auto checker = verify::make_ssrmin_checker(6, 7);
+    double spill_ms = 0.0;
+    const auto spill = run_once(checker, big_options, 1,
+                                verify::PhaseBStorage::kSpill, spill_ms);
+    add_rows(table, trajectory, "ssrmin", 6, 7, spill, 1, spill_ms);
+    const std::size_t hw = thread_counts().back();
+    double ram_ms = 0.0;
+    const auto in_ram = run_once(checker, big_options, hw,
+                                 verify::PhaseBStorage::kCompressed, ram_ms);
+    add_rows(table, trajectory, "ssrmin", 6, 7, in_ram, hw, ram_ms);
+    const bool agree = in_ram.summary() == spill.summary() &&
+                       in_ram.worst_case_steps == 120;
+    std::cout << "ssrmin(6,7) compressed (" << hw << " workers, "
+              << ram_ms / 1000.0 << " s) vs spill (1 worker, "
+              << spill_ms / 1000.0 << " s): "
+              << (agree ? "identical, worst case 120" : "DIVERGED") << '\n';
   }
 
   std::cout << table.render() << '\n';
@@ -415,9 +436,10 @@ int main(int argc, char** argv) {
                  "SSRING_BENCH_SPILL_BIG=1 for the out-of-core "
                  "ssrmin(6,7) row)\n";
   }
-  std::cout << "scope note: dijkstra(10,10) = 10^10 configurations is out "
-               "of reach for this single-host checker in any mode — the "
-               "spill tier's resident offset index alone projects ~42 GiB "
-               "and the stream ~77 GiB; it needs sharding across hosts.\n";
+  std::cout << "scope note: dijkstra(10,10) = 10^10 configurations has "
+               "10^9 orbit representatives; the spill tier's resident "
+               "projection shrinks tenfold, from ~40 GiB to ~4.0 GiB (stream "
+               "~8.4 GiB). "
+               "Not run here.\n";
   return 0;
 }

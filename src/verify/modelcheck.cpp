@@ -36,7 +36,8 @@ std::string CheckStats::summary() const {
   } else {
     os << "scalar";
   }
-  os << " phase_b_storage=" << to_string(mode)
+  os << " orbit_size=" << orbit_size
+     << " phase_b_storage=" << to_string(mode)
      << " projected_peak=" << mib(projected_peak_bytes)
      << " measured_peak=" << mib(measured_peak_bytes)
      << " budget=" << mib(memory_budget_bytes) << " edges=" << edge_count
@@ -59,7 +60,10 @@ ModelChecker<core::SsrMinRing> make_ssrmin_checker(std::size_t n,
   ConfigCodec<core::SsrState> codec(
       n, ring.states_per_process(),
       [K](const core::SsrState& s) { return core::encode_state(s, K); },
-      [K](std::uint32_t code) { return core::decode_state(code, K); });
+      [K](std::uint32_t code) { return core::decode_state(code, K); },
+      // Rules 1-5 only compare counters, copy them or add 1 mod K, so the
+      // digit x * 4 + flags carries the Z_K counter shift.
+      CounterShift{K, 4});
   auto legit = [ring](const core::SsrConfig& c) {
     return core::is_legitimate(ring, c);
   };
@@ -84,7 +88,8 @@ ModelChecker<dijkstra::KStateRing> make_kstate_checker(std::size_t n,
   ConfigCodec<dijkstra::KStateLocal> codec(
       n, K,
       [](const dijkstra::KStateLocal& s) { return s.x; },
-      [](std::uint32_t code) { return dijkstra::KStateLocal{code}; });
+      [](std::uint32_t code) { return dijkstra::KStateLocal{code}; },
+      CounterShift{K, 1});
   auto legit = [ring](const dijkstra::KStateConfig& c) {
     return dijkstra::is_legitimate(ring, c);
   };

@@ -28,7 +28,8 @@
 // run() executes as a two-phase parallel pipeline over a util::ThreadPool
 // (CheckOptions::threads; 1 = fully sequential, 0 = hardware concurrency):
 //
-//   Phase A (sharded sweep)  — the index range [0, total) is split into
+//   Phase A (sharded sweep)  — the index range [0, reps) (see the
+//     counter-shift quotient below; reps = total without one) is split into
 //     dynamically claimed chunks (aligned to TwoLevelBitset::kBlockBits so
 //     every bitset word has one writer); each worker walks its chunk with
 //     an allocation-free ConfigOdometer (incremental base-radix counter,
@@ -73,6 +74,34 @@
 //
 //     Per-structure peak bytes, edge counts and round counts are reported
 //     in CheckReport::stats.
+//
+//   Counter-shift quotient — when the codec carries a CounterShift (the
+//     library's SSRmin and Dijkstra checkers do), both phases run over one
+//     representative per Z_K orbit instead of the whole space. The shift
+//     sigma_c (every counter x_i -> x_i + c mod K, flags unchanged)
+//     commutes with every daemon step and maps Lambda onto Lambda, so all
+//     K members of an orbit share every answer. The representative is the
+//     member whose process n-1 has counter 0. Process n-1 is the most
+//     significant digit, so the representatives are exactly the index
+//     prefix [0, total / K), each is its orbit's lowest full-space code,
+//     and the sweeps are the unchanged loops over a shorter range. Every
+//     "lowest index" witness therefore needs no remapping; only
+//     total_configs and legitimate_configs are scaled back up by K.
+//
+//     Successors are made canonical while they are enumerated. The
+//     post-state of every enabled process is fixed per source, so process
+//     n-1's new counter v is too. Subsets that leave n-1 alone (or move it
+//     to v = 0) give code + sum of deltas, already canonical. The others,
+//     exactly the upper half of the mask range because n-1 is the highest
+//     enabled position, give sigma_{-v}(code) + sum of the deltas rotated
+//     by -v. So a full scan keeps two subset-sum tables (plain and
+//     rotated), pays one O(n) pass to build the rotated one through a
+//     K x radix digit table made once per run(), and still costs one add
+//     per subset. A canonical self-loop is a cycle through the orbit in
+//     the full space, so the peel's "watch[c] == c" rule stays sound.
+//     HeightTable keeps one entry per representative and canonicalizes
+//     the full-space codes it is indexed with; successor_codes() still
+//     returns full-space codes.
 #pragma once
 
 #include <algorithm>
@@ -129,7 +158,8 @@ struct CheckReport {
   /// Per-configuration worst-case steps to Lambda (indexed by encoded
   /// configuration; 0 for legitimate configurations). Populated only when
   /// CheckOptions::keep_heights is set and the convergence pass ran.
-  /// Packed as u16 per configuration.
+  /// Packed as u16 per orbit representative; indexed by any full-space
+  /// code.
   /// This is the exact "potential function" of the protocol — the
   /// OptimalAdversary driver and the perturbation analysis are built on
   /// it.
@@ -154,7 +184,7 @@ struct CheckOptions {
   bool check_token_bounds = true;
   bool check_convergence = true;
   /// Retain the per-configuration height table in the report (costs 2
-  /// bytes per configuration, packed).
+  /// bytes per orbit representative, packed).
   bool keep_heights = false;
   /// Expected privileged-count bounds in legitimate configurations.
   std::size_t min_privileged = 1;
@@ -186,7 +216,13 @@ struct CheckOptions {
 };
 
 /// Dense encoding of whole configurations as base-(states_per_process)
-/// integers.
+/// integers. Process i is digit i, so process n-1 is the most significant.
+///
+/// A codec may also describe the protocol's counter shift (CounterShift:
+/// digit = x * stride + flags, x in Z_modulus). The checker then visits
+/// one representative per orbit. Only give a shift to a protocol whose
+/// steps and predicates commute with it; tests/test_symmetry.cpp checks
+/// that exhaustively for the library's protocols.
 template <typename State>
 class ConfigCodec {
  public:
@@ -194,12 +230,17 @@ class ConfigCodec {
   using Decoder = std::function<State(std::uint32_t)>;
 
   ConfigCodec(std::size_t ring_size, std::uint32_t states_per_process,
-              Encoder encode, Decoder decode)
+              Encoder encode, Decoder decode, CounterShift shift = {})
       : n_(ring_size),
         radix_(states_per_process),
         encode_(std::move(encode)),
-        decode_(std::move(decode)) {
+        decode_(std::move(decode)),
+        shift_(shift) {
     SSR_REQUIRE(radix_ >= 2, "need at least two states per process");
+    SSR_REQUIRE(shift_.orbit_size() == 1 ||
+                    std::uint64_t{shift_.modulus} * shift_.stride == radix_,
+                "counter shift must tile the digit: modulus * stride == "
+                "states per process");
     // Guard against u64 overflow of radix^n. Feasibility of an exhaustive
     // *check* is a memory question, decided per run from the projected
     // Phase B peak (select_phaseb_storage), not a hard cap here.
@@ -217,6 +258,12 @@ class ConfigCodec {
   std::size_t ring_size() const { return n_; }
   std::uint64_t total() const { return total_; }
   std::uint64_t radix() const { return radix_; }
+  const CounterShift& shift() const { return shift_; }
+  std::uint32_t orbit_size() const { return shift_.orbit_size(); }
+  /// Orbit representatives: the codes [0, total / orbit_size) whose
+  /// process n-1 has counter 0. The checker's sweeps, bitsets and Phase B
+  /// projections are all sized by this count.
+  std::uint64_t representatives() const { return total_ / orbit_size(); }
   /// Positional weight of process i in the mixed-radix code: radix^i.
   std::uint64_t weight(std::size_t i) const { return weights_[i]; }
 
@@ -245,6 +292,7 @@ class ConfigCodec {
   std::uint64_t radix_;
   Encoder encode_;
   Decoder decode_;
+  CounterShift shift_;
   std::uint64_t total_ = 0;
   std::vector<std::uint64_t> weights_;
 };
@@ -348,7 +396,8 @@ class ModelChecker {
   /// All distinct successor configurations of @p config under the
   /// distributed daemon (one per non-empty subset of the enabled
   /// processes; deduplicated, sorted ascending). Empty iff the
-  /// configuration is deadlocked.
+  /// configuration is deadlocked. These are full-space codes, never orbit
+  /// representatives.
   std::vector<std::uint64_t> successor_codes(const Config& config) const {
     SweepScratch s;
     enabled(config, s.idx, s.rules);
@@ -369,8 +418,15 @@ class ModelChecker {
     std::vector<int> rules;             ///< their enabled rules
     std::vector<std::int64_t> deltas;   ///< per enabled process: code delta
     std::vector<std::int32_t> digit_deltas;  ///< per enabled process: digit delta
-    std::vector<std::int64_t> sums;     ///< subset-sum table (size 2^m)
+    std::vector<std::uint64_t> codes;   ///< subset successor table (size 2^m)
     std::vector<std::uint64_t> succs;   ///< deduped successor codes
+    // The counter-shift quotient (set by run(); null = full-space codes).
+    // lower[v * radix + d] is digit d with its counter lowered by v.
+    const std::uint32_t* lower = nullptr;
+    bool rotated = false;               ///< upper subsets use rdeltas/rbase
+    std::vector<std::int64_t> rdeltas;  ///< code deltas rotated by -v
+    std::uint64_t rbase = 0;            ///< canonical code of subset {n-1}
+    std::vector<std::uint32_t> digits;  ///< decoded digits (record peel)
   };
 
   /// Per-worker partial results, merged deterministically afterwards. All
@@ -416,23 +472,101 @@ class ModelChecker {
     }
   }
 
-  /// Computes the per-enabled-process configuration-code deltas into
-  /// s.deltas. Composite atomicity: every selected process reads the
-  /// pre-step configuration, so the post-state of each enabled process is
-  /// the same in every subset — it is applied once and each subset's
-  /// successor code is a pure integer sum of per-process code deltas (no
-  /// re-encoding per subset).
-  void compute_deltas(const Config& config,
-                      const std::vector<std::uint32_t>& digits,
-                      SweepScratch& s) const {
-    SSR_ASSERT(!s.idx.empty() && s.idx.size() < 20,
-               "enabled set size out of range");
-    compute_digit_deltas(config, digits, s);
+  /// Prepares walk_successors() for configuration @p code, whose enabled
+  /// positions are in s.idx and their digit deltas in s.digit_deltas.
+  /// Composite atomicity: every selected process reads the pre-step
+  /// configuration, so the post-state of each enabled process is the same
+  /// in every subset. It is applied once, and each subset's successor code
+  /// is a pure integer sum of per-process code deltas (s.deltas).
+  ///
+  /// With the quotient (s.lower set; @p code must be a representative),
+  /// process n-1's new counter v is fixed too. A subset that moves n-1 to
+  /// v != 0 lands in a non-canonical orbit member; its representative is
+  /// sigma_{-v} of it, i.e. sigma_{-v}(code) plus the deltas rotated by -v.
+  /// Those subsets are exactly the upper half of the mask range (n-1 is
+  /// the highest enabled position), so they get a second delta table
+  /// (s.rdeltas) rooted at s.rbase, the canonical successor of {n-1}.
+  /// @p digits holds the configuration's digits, or is null to decode
+  /// them from @p code when the rotation needs them.
+  void prepare_successors(std::uint64_t code, const std::uint32_t* digits,
+                          SweepScratch& s) const {
+    const std::size_t m = s.idx.size();
+    SSR_ASSERT(m != 0 && m < 20, "enabled set size out of range");
     s.deltas.clear();
-    for (std::size_t k = 0; k < s.idx.size(); ++k) {
+    for (std::size_t k = 0; k < m; ++k) {
       s.deltas.push_back(static_cast<std::int64_t>(s.digit_deltas[k]) *
                          static_cast<std::int64_t>(codec_.weight(s.idx[k])));
     }
+    s.rotated = false;
+    const std::size_t n = codec_.ring_size();
+    const std::size_t top = n - 1;
+    if (s.lower == nullptr || s.idx.back() != top) return;
+    const std::uint64_t radix = codec_.radix();
+    const auto top_digit = static_cast<std::uint32_t>(
+        digits != nullptr ? digits[top] : code / codec_.weight(top));
+    const auto v = static_cast<std::uint32_t>(
+        (static_cast<std::int64_t>(top_digit) + s.digit_deltas[m - 1]) /
+        codec_.shift().stride);
+    if (v == 0) return;
+    if (digits == nullptr) {
+      s.digits.resize(n);
+      std::uint64_t rest = code;
+      for (std::size_t i = 0; i < n; ++i, rest /= radix) {
+        s.digits[i] = static_cast<std::uint32_t>(rest % radix);
+      }
+      digits = s.digits.data();
+    }
+    const std::uint32_t* row = s.lower + v * radix;
+    std::uint64_t shifted = 0;  // sigma_{-v}(code)
+    for (std::size_t i = 0; i < n; ++i) {
+      shifted += row[digits[i]] * codec_.weight(i);
+    }
+    s.rdeltas.clear();
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::uint32_t d = digits[s.idx[k]];
+      const std::uint32_t next = static_cast<std::uint32_t>(
+          static_cast<std::int64_t>(d) + s.digit_deltas[k]);
+      s.rdeltas.push_back(
+          (static_cast<std::int64_t>(row[next]) -
+           static_cast<std::int64_t>(row[d])) *
+          static_cast<std::int64_t>(codec_.weight(s.idx[k])));
+    }
+    s.rbase = shifted + static_cast<std::uint64_t>(s.rdeltas[m - 1]);
+    s.rotated = true;
+  }
+
+  /// Calls fn(successor_code) for each of the 2^m - 1 daemon subsets in
+  /// ascending mask order (codes may repeat) until fn returns true; returns
+  /// whether it stopped early. Requires a prior prepare_successors. Each
+  /// subset costs one add: codes[mask] = codes[mask & (mask - 1)] +
+  /// delta[lowest bit]. Clearing the lowest bit of an upper-half mask
+  /// other than the half itself stays in the upper half, so the rotated
+  /// table never mixes with the plain one.
+  template <typename Fn>
+  bool walk_successors(std::uint64_t code, SweepScratch& s, Fn&& fn) const {
+    const std::size_t m = s.deltas.size();
+    const std::uint32_t subsets = std::uint32_t{1} << m;
+    const std::uint32_t half = subsets >> 1;
+    if (s.codes.size() < subsets) s.codes.resize(subsets);
+    std::uint64_t* t = s.codes.data();
+    auto step = [&](std::uint32_t mask, const std::int64_t* d) {
+      t[mask] = t[mask & (mask - 1)] +
+                static_cast<std::uint64_t>(
+                    d[static_cast<std::size_t>(std::countr_zero(mask))]);
+      return fn(t[mask]);
+    };
+    t[0] = code;
+    for (std::uint32_t mask = 1; mask < half; ++mask) {
+      if (step(mask, s.deltas.data())) return true;
+    }
+    t[half] = s.rotated ? s.rbase
+                        : code + static_cast<std::uint64_t>(s.deltas[m - 1]);
+    if (fn(t[half])) return true;
+    const std::int64_t* up = s.rotated ? s.rdeltas.data() : s.deltas.data();
+    for (std::uint32_t mask = half + 1; mask < subsets; ++mask) {
+      if (step(mask, up)) return true;
+    }
+    return false;
   }
 
   /// Raw per-enabled-process *digit* deltas into s.digit_deltas (what the
@@ -472,35 +606,38 @@ class ModelChecker {
     rcodec.encode(enabled_mask(wk.s), wk.s.digit_deltas.data(), out);
   }
 
-  /// Invokes fn(successor_code) for each of the 2^m - 1 daemon choices
-  /// (subset-sum enumeration over s.deltas; may repeat codes). Requires a
-  /// prior compute_deltas on the same configuration.
-  template <typename Fn>
-  void for_each_successor(std::uint64_t code, SweepScratch& s, Fn&& fn) const {
-    const std::size_t m = s.deltas.size();
-    const std::uint32_t subsets = 1u << m;
-    if (s.sums.size() < subsets) s.sums.resize(subsets);
-    s.sums[0] = 0;
-    for (std::uint32_t mask = 1; mask < subsets; ++mask) {
-      s.sums[mask] = s.sums[mask & (mask - 1)] +
-                     s.deltas[static_cast<std::size_t>(std::countr_zero(mask))];
-      fn(static_cast<std::uint64_t>(static_cast<std::int64_t>(code) +
-                                    s.sums[mask]));
-    }
-  }
-
   /// Distinct successor codes (sorted ascending) into s.succs, for the
   /// configuration with code @p code and per-process digits @p digits,
-  /// whose enabled set (s.idx / s.rules) was already computed.
+  /// whose enabled set (s.idx / s.rules) was already computed. The codes
+  /// are orbit representatives when s.lower is set, full-space otherwise.
   void successors_at(const Config& config,
                      const std::vector<std::uint32_t>& digits,
                      std::uint64_t code, SweepScratch& s) const {
-    compute_deltas(config, digits, s);
+    compute_digit_deltas(config, digits, s);
+    prepare_successors(code, digits.data(), s);
     s.succs.clear();
-    for_each_successor(code, s,
-                       [&](std::uint64_t sc) { s.succs.push_back(sc); });
+    walk_successors(code, s, [&](std::uint64_t sc) {
+      s.succs.push_back(sc);
+      return false;
+    });
     std::sort(s.succs.begin(), s.succs.end());
     s.succs.erase(std::unique(s.succs.begin(), s.succs.end()), s.succs.end());
+  }
+
+  /// The quotient's digit table lower[v * radix + d] for one run(), or an
+  /// empty vector when the codec has no counter shift.
+  std::vector<std::uint32_t> lower_table() const {
+    const CounterShift& shift = codec_.shift();
+    std::vector<std::uint32_t> lower;
+    if (shift.orbit_size() == 1) return lower;
+    const auto radix = static_cast<std::uint32_t>(codec_.radix());
+    lower.reserve(std::size_t{shift.modulus} * radix);
+    for (std::uint32_t v = 0; v < shift.modulus; ++v) {
+      for (std::uint32_t d = 0; d < radix; ++d) {
+        lower.push_back(shift.lower(d, v));
+      }
+    }
+    return lower;
   }
 
   void phase_b(PhaseBStorage mode, util::ThreadPool& pool,
@@ -520,8 +657,13 @@ class ModelChecker {
 template <stab::RingProtocol P>
 CheckReport ModelChecker<P>::run(const CheckOptions& options) const {
   CheckReport report;
-  const std::uint64_t total = codec_.total();
-  report.total_configs = total;
+  // Every sweep runs over the orbit representatives [0, reps) only; see
+  // the header comment. Without a counter shift they are the full space.
+  const std::uint64_t reps = codec_.representatives();
+  const std::uint32_t orbit = codec_.orbit_size();
+  report.total_configs = codec_.total();
+  report.stats.orbit_size = orbit;
+  const std::vector<std::uint32_t> lower = lower_table();
 
   util::ThreadPool pool(options.threads);
   const std::size_t workers = pool.size();
@@ -529,13 +671,16 @@ CheckReport ModelChecker<P>::run(const CheckOptions& options) const {
   // summary word of the shared bitsets has exactly one writer per pass.
   constexpr std::uint64_t kAlign = util::TwoLevelBitset::kBlockBits;
   const std::uint64_t chunk =
-      std::clamp<std::uint64_t>((total / (workers * 8) + kAlign - 1) /
+      std::clamp<std::uint64_t>((reps / (workers * 8) + kAlign - 1) /
                                     kAlign * kAlign,
                                 kAlign, std::uint64_t{1} << 16);
 
   std::vector<Worker> ws;
   ws.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) ws.emplace_back(codec_);
+  for (std::size_t w = 0; w < workers; ++w) {
+    ws.emplace_back(codec_);
+    ws.back().s.lower = lower.empty() ? nullptr : lower.data();
+  }
 
   // Bit-sliced Phase A: one kernel engine per worker, evaluating guards,
   // legitimacy and privilege for a whole lane word of consecutive
@@ -566,10 +711,10 @@ CheckReport ModelChecker<P>::run(const CheckOptions& options) const {
   // word written by exactly one worker thanks to chunk alignment); the
   // closure check and the convergence pass index into it instead of
   // re-evaluating the predicate on decoded successors.
-  util::TwoLevelBitset legit(total);
+  util::TwoLevelBitset legit(reps);
   if (sliced_a) {
-    pool.for_chunks(0, total, chunk, [&](std::size_t w, std::uint64_t lo,
-                                         std::uint64_t hi) {
+    pool.for_chunks(0, reps, chunk, [&](std::size_t w, std::uint64_t lo,
+                                        std::uint64_t hi) {
       PhaseASlice& sl = *slices[w];
       const std::uint64_t lanes = sl.lanes();
       std::vector<std::uint64_t> bits((lanes + 63) / 64);
@@ -585,7 +730,7 @@ CheckReport ModelChecker<P>::run(const CheckOptions& options) const {
       ws[w].p.legit_count += count;
     });
   } else {
-    pool.for_chunks(0, total, chunk,
+    pool.for_chunks(0, reps, chunk,
                     [&](std::size_t w, std::uint64_t lo, std::uint64_t hi) {
                       Worker& wk = ws[w];
                       wk.od.seek(lo);
@@ -606,8 +751,8 @@ CheckReport ModelChecker<P>::run(const CheckOptions& options) const {
     const SliceQuery sq{options.check_deadlock, options.check_token_bounds,
                         options.check_closure, options.min_privileged,
                         options.max_privileged};
-    pool.for_chunks(0, total, chunk, [&](std::size_t w, std::uint64_t lo,
-                                         std::uint64_t hi) {
+    pool.for_chunks(0, reps, chunk, [&](std::size_t w, std::uint64_t lo,
+                                        std::uint64_t hi) {
       Worker& wk = ws[w];
       PhaseASlice& sl = *slices[w];
       const std::uint64_t lanes = sl.lanes();
@@ -640,8 +785,8 @@ CheckReport ModelChecker<P>::run(const CheckOptions& options) const {
       }
     });
   } else {
-    pool.for_chunks(0, total, chunk, [&](std::size_t w, std::uint64_t lo,
-                                         std::uint64_t hi) {
+    pool.for_chunks(0, reps, chunk, [&](std::size_t w, std::uint64_t lo,
+                                        std::uint64_t hi) {
       Worker& wk = ws[w];
       SweepScratch& s = wk.s;
       Partial& p = wk.p;
@@ -677,7 +822,7 @@ CheckReport ModelChecker<P>::run(const CheckOptions& options) const {
                   token = UINT64_MAX;
     std::size_t min_priv = SIZE_MAX;
     for (const Worker& wk : ws) {
-      report.legitimate_configs += wk.p.legit_count;
+      report.legitimate_configs += wk.p.legit_count * orbit;
       deadlock = std::min(deadlock, wk.p.deadlock);
       closure = std::min(closure, wk.p.closure);
       token = std::min(token, wk.p.token);
@@ -711,13 +856,13 @@ CheckReport ModelChecker<P>::run(const CheckOptions& options) const {
                                    : default_memory_budget();
   std::uint64_t projected = 0;
   const PhaseBStorage mode =
-      select_phaseb_storage(options.storage, total, codec_.ring_size(),
+      select_phaseb_storage(options.storage, reps, codec_.ring_size(),
                             codec_.radix(), budget, &projected);
   // The in-RAM peels index successors through u32 watch/edge entries; the
   // watch-free spill peel has no u32-indexed structure, so only the
   // resident-projection check (above) bounds it.
   SSR_REQUIRE(mode == PhaseBStorage::kSpill ||
-                  total <= (std::uint64_t{1} << 32),
+                  reps <= (std::uint64_t{1} << 32),
               "convergence pass supports at most 2^32 configurations in "
               "the in-RAM storage modes; use PhaseBStorage::kSpill");
   report.stats.mode = mode;
@@ -758,18 +903,18 @@ void ModelChecker<P>::phase_b(PhaseBStorage mode, util::ThreadPool& pool,
                               const util::TwoLevelBitset& legit,
                               const CheckOptions& options,
                               CheckReport& report) const {
-  const std::uint64_t total = codec_.total();
+  const std::uint64_t reps = codec_.representatives();
   const std::size_t n = codec_.ring_size();
   const bool solo = pool.size() == 1;
   const bool compressed = mode == PhaseBStorage::kCompressed;
   const bool spill = mode == PhaseBStorage::kSpill;
   const bool has_records = compressed || spill;
 
-  util::TwoLevelBitset active(total);
-  std::vector<std::uint16_t> height_raw(total, 0);
+  util::TwoLevelBitset active(reps);
+  std::vector<std::uint16_t> height_raw(reps, 0);
   // The spill peel is watch-free: dropping the 4-bytes-per-config watch
   // table is exactly what puts its resident footprint under csr-free's.
-  std::vector<std::uint32_t> watch(spill ? 0 : total, 0);
+  std::vector<std::uint32_t> watch(spill ? 0 : reps, 0);
 
   MoveRecordCodec rcodec;
   MoveStore store;
@@ -778,12 +923,12 @@ void ModelChecker<P>::phase_b(PhaseBStorage mode, util::ThreadPool& pool,
   if (has_records) {
     rcodec = MoveRecordCodec(n, codec_.radix());
     if (compressed) {
-      store.prepare(total, rcodec);
+      store.prepare(reps, rcodec);
       layout = &store.layout();
     } else {
       spill_store.prepare(
-          total, rcodec, resolve_spill_dir(options.spill_dir),
-          projected_spill_file_bytes(total, n, codec_.radix()));
+          reps, rcodec, resolve_spill_dir(options.spill_dir),
+          projected_spill_file_bytes(reps, n, codec_.radix()));
       layout = &spill_store.layout();
     }
   }
@@ -791,8 +936,8 @@ void ModelChecker<P>::phase_b(PhaseBStorage mode, util::ThreadPool& pool,
   // Init pass: mark active configurations, tally the daemon edge count,
   // and (record modes) lay out the record stream — per-config local
   // offsets plus per-block byte totals, both functions of the index alone.
-  pool.for_chunks(0, total, chunk, [&](std::size_t w, std::uint64_t lo,
-                                       std::uint64_t hi) {
+  pool.for_chunks(0, reps, chunk, [&](std::size_t w, std::uint64_t lo,
+                                      std::uint64_t hi) {
     Worker& wk = ws[w];
     SweepScratch& s = wk.s;
     wk.od.seek(lo);
@@ -836,8 +981,8 @@ void ModelChecker<P>::phase_b(PhaseBStorage mode, util::ThreadPool& pool,
     store.finalize_layout();
     // Encode pass: re-enumerate the active configurations and write each
     // record into its precomputed slot.
-    pool.for_chunks(0, total, chunk, [&](std::size_t w, std::uint64_t lo,
-                                         std::uint64_t hi) {
+    pool.for_chunks(0, reps, chunk, [&](std::size_t w, std::uint64_t lo,
+                                        std::uint64_t hi) {
       Worker& wk = ws[w];
       wk.od.seek(lo);
       for (std::uint64_t c = lo; c < hi; ++c, wk.od.advance()) {
@@ -857,8 +1002,8 @@ void ModelChecker<P>::phase_b(PhaseBStorage mode, util::ThreadPool& pool,
       writers.emplace_back(spill_store.write_queue(), std::size_t{64} << 10);
     }
     try {
-      pool.for_chunks(0, total, chunk, [&](std::size_t w, std::uint64_t lo,
-                                           std::uint64_t hi) {
+      pool.for_chunks(0, reps, chunk, [&](std::size_t w, std::uint64_t lo,
+                                          std::uint64_t hi) {
         Worker& wk = ws[w];
         for (std::uint64_t b = lo >> layout->block_shift();
              layout->block_begin(b) < hi; ++b) {
@@ -904,8 +1049,8 @@ void ModelChecker<P>::phase_b(PhaseBStorage mode, util::ThreadPool& pool,
       wk.cur_block = UINT64_MAX;  // spill: each round streams afresh
     }
     if (spill) spill_store.begin_round();
-    pool.for_chunks(0, total, chunk, [&](std::size_t w, std::uint64_t lo,
-                                         std::uint64_t hi) {
+    pool.for_chunks(0, reps, chunk, [&](std::size_t w, std::uint64_t lo,
+                                        std::uint64_t hi) {
       Worker& wk = ws[w];
       SweepScratch& s = wk.s;
       if (s.digit_deltas.size() < n) s.digit_deltas.resize(n);
@@ -924,8 +1069,8 @@ void ModelChecker<P>::phase_b(PhaseBStorage mode, util::ThreadPool& pool,
             return;
           }
         }
-        // Per-process code deltas of c's enabled moves into s.deltas.
-        s.deltas.clear();
+        // c's enabled positions and digit deltas, then its successor
+        // tables (canonical under the quotient).
         if (has_records) {
           const std::uint8_t* rec;
           if (spill) {
@@ -947,43 +1092,29 @@ void ModelChecker<P>::phase_b(PhaseBStorage mode, util::ThreadPool& pool,
           }
           std::uint32_t mask = 0;
           rcodec.decode(rec, mask, s.digit_deltas.data());
-          std::size_t k = 0;
-          for (std::uint32_t bits = mask; bits != 0; bits &= bits - 1, ++k) {
-            const auto i =
-                static_cast<std::size_t>(std::countr_zero(bits));
-            s.deltas.push_back(
-                static_cast<std::int64_t>(s.digit_deltas[k]) *
-                static_cast<std::int64_t>(codec_.weight(i)));
+          s.idx.clear();
+          for (std::uint32_t bits = mask; bits != 0; bits &= bits - 1) {
+            s.idx.push_back(static_cast<std::size_t>(std::countr_zero(bits)));
           }
+          prepare_successors(c, nullptr, s);
         } else {
           wk.od.seek(c);
           enabled(wk.od.config(), s.idx, s.rules);
-          compute_deltas(wk.od.config(), wk.od.digits(), s);
+          compute_digit_deltas(wk.od.config(), wk.od.digits(), s);
+          prepare_successors(c, wk.od.digits().data(), s);
         }
-        const std::size_t m = s.deltas.size();
         // Full scan with early exit; the first still-blocked successor
-        // becomes the new watch.
-        const std::uint32_t subsets = std::uint32_t{1} << m;
-        if (s.sums.size() < subsets) s.sums.resize(subsets);
-        s.sums[0] = 0;
-        bool blocked = false;
-        for (std::uint32_t mask = 1; mask < subsets; ++mask) {
-          s.sums[mask] =
-              s.sums[mask & (mask - 1)] +
-              s.deltas[static_cast<std::size_t>(std::countr_zero(mask))];
-          const auto sc = static_cast<std::uint64_t>(
-              static_cast<std::int64_t>(c) + s.sums[mask]);
-          if (h_at(sc) >= round) {
-            blocked = true;
-            // sc == c (a zero-delta subset) re-arms the "no watch"
-            // sentinel; such a self-loop blocks every round anyway. The
-            // spill peel keeps no watch table — every active config
-            // re-decodes its record each round (the stream read is what
-            // the prefetch window hides).
-            if (!spill) watch[c] = static_cast<std::uint32_t>(sc);
-            break;
-          }
-        }
+        // becomes the new watch. sc == c (a zero-delta subset, or under
+        // the quotient a step onto another member of c's own orbit)
+        // re-arms the "no watch" sentinel; such a self-loop blocks every
+        // round anyway. The spill peel keeps no watch table — every
+        // active config re-decodes its record each round (the stream read
+        // is what the prefetch window hides).
+        const bool blocked = walk_successors(c, s, [&](std::uint64_t sc) {
+          if (h_at(sc) < round) return false;
+          if (!spill) watch[c] = static_cast<std::uint32_t>(sc);
+          return true;
+        });
         if (blocked) return;
         // Every successor finalized in an earlier round; the deepest one
         // at round - 1, so c's height is exactly this round.
@@ -1011,7 +1142,7 @@ void ModelChecker<P>::phase_b(PhaseBStorage mode, util::ThreadPool& pool,
   }
 
   if (report.convergence_holds) {
-    pool.for_chunks(0, total, chunk,
+    pool.for_chunks(0, reps, chunk,
                     [&](std::size_t w, std::uint64_t lo, std::uint64_t hi) {
                       Partial& p = ws[w].p;
                       for (std::uint64_t c = lo; c < hi; ++c) {
@@ -1078,7 +1209,8 @@ void ModelChecker<P>::phase_b(PhaseBStorage mode, util::ThreadPool& pool,
   if (spill) spill_store.release();
 
   if (report.convergence_holds && options.keep_heights) {
-    report.heights = HeightTable::adopt(std::move(height_raw));
+    report.heights = HeightTable::adopt(std::move(height_raw), codec_.shift(),
+                                        n, codec_.radix());
   }
 }
 

@@ -14,8 +14,10 @@
 //    two-level offset table (u64 base per block, u16 offset within the
 //    block), so random access during the peel costs two loads.
 //
-//  * HeightTable — the per-configuration worst-case-steps table, packed
-//    as dense u16 (the peel aborts on a chain longer than 65533 steps).
+//  * CounterShift + HeightTable — the Z_K counter-shift symmetry the
+//    checker quotients by, and the per-configuration worst-case-steps
+//    table, packed as dense u16 per orbit representative (the peel aborts
+//    on a chain longer than 65533 steps).
 //
 //  * CheckStats + projected-peak formulas — per-structure byte telemetry
 //    and the memory model used to pick a storage mode *before* running:
@@ -271,37 +273,105 @@ class MoveStore {
   std::vector<std::uint8_t> stream_;
 };
 
+// --- counter-shift symmetry ------------------------------------------------
+
+/// The uniform counter shift of a ring protocol whose local-state digit is
+/// x * stride + flags, with counter x in Z_modulus and flags < stride:
+/// sigma_c adds c (mod modulus) to every process's counter and keeps every
+/// flag. Protocols that only compare counters for equality, copy them or
+/// add 1 mod K commute with it, so each orbit of modulus configurations
+/// shares one answer. modulus <= 1 is no shift: every orbit is a single
+/// configuration.
+struct CounterShift {
+  std::uint32_t modulus = 1;
+  std::uint32_t stride = 1;
+
+  std::uint32_t orbit_size() const { return modulus > 1 ? modulus : 1; }
+
+  /// Digit @p d with its counter lowered by @p v (v < modulus).
+  std::uint32_t lower(std::uint32_t d, std::uint32_t v) const {
+    return (d / stride + modulus - v) % modulus * stride + d % stride;
+  }
+
+  /// The orbit representative of @p code in an n-digit base-radix space:
+  /// the member whose most significant digit (process n-1) has counter 0.
+  /// It is also the orbit's lowest code, and the representatives are
+  /// exactly the codes below radix^n / modulus.
+  std::uint64_t canonical(std::uint64_t code, std::size_t n,
+                          std::uint64_t radix) const {
+    if (orbit_size() == 1 || n == 0) return code;
+    std::uint64_t top = code;
+    for (std::size_t i = 1; i < n; ++i) top /= radix;
+    const auto v = static_cast<std::uint32_t>(top) / stride;
+    if (v == 0) return code;
+    std::uint64_t out = 0;
+    std::uint64_t place = 1;
+    for (std::size_t i = 0; i < n; ++i, place *= radix) {
+      out += lower(static_cast<std::uint32_t>(code % radix), v) * place;
+      code /= radix;
+    }
+    return out;
+  }
+
+  friend bool operator==(const CounterShift&, const CounterShift&) = default;
+};
+
 // --- packed heights --------------------------------------------------------
 
 /// Per-configuration height (exact worst-case steps to Lambda), packed as
 /// dense u16. kEscapeTag is the peel's unfinalized sentinel, never a height.
+///
+/// A table built by a checker whose codec carries a CounterShift stores
+/// one height per orbit representative. operator[] takes any full-space
+/// code and reads its representative's height, and size() is the full
+/// configuration count, so callers index it exactly like a dense table.
 class HeightTable {
  public:
   static constexpr std::uint16_t kEscapeTag = 0xFFFF;
 
   HeightTable() = default;
 
-  /// Adopts a dense u16 table of finalized heights.
+  /// Adopts a dense u16 table of finalized heights, one per configuration.
   static HeightTable adopt(std::vector<std::uint16_t> dense) {
     HeightTable t;
     t.dense_ = std::move(dense);
     return t;
   }
 
+  /// Adopts a table of the orbit representatives of an n-digit base-radix
+  /// space under @p shift (codes [0, radix^n / orbit_size)).
+  static HeightTable adopt(std::vector<std::uint16_t> dense,
+                           CounterShift shift, std::size_t n,
+                           std::uint64_t radix) {
+    HeightTable t = adopt(std::move(dense));
+    t.shift_ = shift;
+    t.n_ = n;
+    t.radix_ = radix;
+    return t;
+  }
+
+  /// assign() and set() build a dense table indexed by configuration.
   void assign(std::uint64_t size, std::uint32_t value) {
     dense_.assign(size, narrow(value));
+    shift_ = {};
   }
   void set(std::uint64_t i, std::uint32_t v) { dense_[i] = narrow(v); }
-  std::uint32_t operator[](std::uint64_t i) const { return dense_[i]; }
+  std::uint32_t operator[](std::uint64_t i) const {
+    return dense_[shift_.canonical(i, n_, radix_)];
+  }
 
-  std::uint64_t size() const { return dense_.size(); }
+  /// Full-space configuration count.
+  std::uint64_t size() const { return dense_.size() * shift_.orbit_size(); }
+  /// Stored entries: one per orbit representative.
+  std::uint64_t representatives() const { return dense_.size(); }
+  std::uint32_t orbit_size() const { return shift_.orbit_size(); }
   bool empty() const { return dense_.empty(); }
   std::uint64_t bytes() const {
     return dense_.capacity() * sizeof(std::uint16_t);
   }
 
   friend bool operator==(const HeightTable& a, const HeightTable& b) {
-    return a.dense_ == b.dense_;
+    return a.dense_ == b.dense_ && a.shift_ == b.shift_;
   }
 
  private:
@@ -311,6 +381,9 @@ class HeightTable {
   }
 
   std::vector<std::uint16_t> dense_;
+  CounterShift shift_;
+  std::size_t n_ = 0;
+  std::uint64_t radix_ = 0;
 };
 
 // --- storage modes, projections, telemetry ---------------------------------
@@ -341,6 +414,11 @@ struct CheckStats {
   bool phase_a_sliced = false;       ///< Phase A ran bit-sliced
   std::string phase_a_backend;       ///< lane backend ("u64"/"avx512")
   std::uint32_t phase_a_lanes = 0;   ///< configurations per kernel pass
+  /// Configurations per counter-shift orbit (K, or 1 without the
+  /// quotient). The checker processes one representative per orbit, so
+  /// every edge and byte count below describes the representatives, a
+  /// 1/orbit_size share of the full space.
+  std::uint32_t orbit_size = 1;
   std::uint64_t memory_budget_bytes = 0;
   std::uint64_t projected_peak_bytes = 0;
   std::uint64_t measured_peak_bytes = 0;

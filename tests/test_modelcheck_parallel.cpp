@@ -279,11 +279,13 @@ TEST(ModelCheckParallel, AutoSpillsUnderTightBudgetAndMatchesInRam) {
   // — and the spilled report must match an unconstrained compressed run
   // bit-for-bit. The budget arrives via SSRING_CHECK_MEMORY_BUDGET, so
   // the env path of the default-budget resolution is on the hook too.
+  // Projections size the structures the checker holds: one entry per
+  // counter-shift orbit representative, not per configuration.
   const auto checker = verify::make_ssrmin_checker(4, 5);
-  const std::uint64_t total = checker.codec().total();
+  const std::uint64_t reps = checker.codec().representatives();
   const std::uint64_t proj_spill = verify::projected_spill_resident_bytes(
-      total, 4, checker.codec().radix());
-  const std::uint64_t proj_free = verify::projected_csrfree_bytes(total);
+      reps, 4, checker.codec().radix());
+  const std::uint64_t proj_free = verify::projected_csrfree_bytes(reps);
   ASSERT_LT(proj_spill, proj_free)
       << "watch-free spill must undercut csr-free or auto can never spill";
   const std::uint64_t budget = (proj_spill + proj_free) / 2;

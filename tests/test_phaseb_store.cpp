@@ -1,19 +1,24 @@
 // Unit tests for the slim Phase B storage primitives: the varint move
 // record codec (round-trip + fuzz), the two-level MoveStore layout, the
-// packed u16 HeightTable, the TwoLevelBitset, the
-// disk-spilled record store (round-trip fuzz + hardened error paths), the
+// packed u16 HeightTable (dense and over counter-shift orbit
+// representatives), the TwoLevelBitset, the
+// disk-spilled record store (round-trip fuzz + hardened error paths + no
+// file left behind by an interrupted run), the
 // cgroup-aware memory budget, and the projected-memory mode-selection
 // guard that replaced the old hard cap.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include <signal.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "util/packed_bitset.hpp"
@@ -302,6 +307,65 @@ TEST(SpillStore, EnospcMidWriteSurfacesAsRequireError) {
   }
 }
 
+#if defined(__linux__)
+TEST(SpillStore, SigintMidRunLeavesNoFile) {
+  // An interrupted spill check must leave nothing behind: the record file
+  // is unlinked at creation. A forked child runs a kSpill check into a
+  // fresh directory; SIGINT is sent only once the child's descriptor
+  // table shows the spill file already unlinked, so it always lands
+  // mid-run and after create() has finished.
+  std::string dir = testing::TempDir() + "/ssring-sigint-XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    try {
+      verify::CheckOptions options;
+      options.threads = 1;
+      options.storage = PhaseBStorage::kSpill;
+      options.spill_dir = dir;
+      verify::make_ssrmin_checker(5, 7).run(options);
+    } catch (...) {
+      ::_exit(2);
+    }
+    ::_exit(0);
+  }
+  const std::string fds = "/proc/" + std::to_string(pid) + "/fd";
+  const std::string prefix =
+      std::filesystem::canonical(dir).string() + "/ssring-spill-";
+  bool open_file = false;
+  int status = 0;
+  bool exited = false;
+  while (!open_file && !exited) {
+    std::error_code ec;
+    for (std::filesystem::directory_iterator it(fds, ec), end;
+         !ec && it != end; it.increment(ec)) {
+      std::error_code link_ec;
+      const std::string target =
+          std::filesystem::read_symlink(it->path(), link_ec).string();
+      if (!link_ec && target.rfind(prefix, 0) == 0 &&
+          target.ends_with(" (deleted)")) {
+        open_file = true;
+      }
+    }
+    if (!open_file) {
+      exited = ::waitpid(pid, &status, WNOHANG) == pid;
+      ::usleep(200);
+    }
+  }
+  ASSERT_TRUE(open_file) << "the check ended (status " << status
+                         << ") before its spill file was seen";
+  ASSERT_EQ(::kill(pid, SIGINT), 0);
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFSIGNALED(status)) << "status " << status;
+  if (WIFSIGNALED(status)) {
+    EXPECT_EQ(WTERMSIG(status), SIGINT);
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << dir;
+  std::filesystem::remove_all(dir);
+}
+#endif
+
 // --- HeightTable -----------------------------------------------------------
 
 TEST(HeightTable, AdoptedDenseTableHasNoEscapes) {
@@ -318,6 +382,28 @@ TEST(HeightTable, AdoptedDenseTableHasNoEscapes) {
   EXPECT_EQ(u[1], 65534u);
   EXPECT_THROW(u.set(1, HeightTable::kEscapeTag), std::invalid_argument);
   EXPECT_FALSE(t == u);
+}
+
+TEST(HeightTable, QuotientTableAnswersEveryOrbitMember) {
+  // Two processes, digit = x * 2 + flag with x in Z_3 (radix 6): the
+  // representatives are the 12 codes whose process 1 has counter 0, and
+  // every full-space code reads its representative's entry.
+  const verify::CounterShift shift{3, 2};
+  std::vector<std::uint16_t> dense(12);
+  for (std::uint16_t c = 0; c < 12; ++c) dense[c] = c;
+  const HeightTable t = HeightTable::adopt(dense, shift, 2, 6);
+  EXPECT_EQ(t.size(), 36u);
+  EXPECT_EQ(t.representatives(), 12u);
+  EXPECT_EQ(t.orbit_size(), 3u);
+  for (std::uint64_t code = 0; code < 36; ++code) {
+    const std::uint32_t d0 = code % 6, d1 = code / 6;
+    const std::uint32_t v = d1 / 2;  // process 1's counter
+    const std::uint64_t rep =
+        shift.lower(d0, v) + 6 * static_cast<std::uint64_t>(d1 % 2);
+    EXPECT_EQ(t[code], rep) << "code " << code;
+    EXPECT_EQ(shift.canonical(code, 2, 6), rep) << "code " << code;
+  }
+  EXPECT_FALSE(t == HeightTable::adopt(dense));
 }
 
 // --- TwoLevelBitset --------------------------------------------------------
@@ -455,6 +541,28 @@ TEST(PhaseBSelection, AutoPicksSpillWhenNoInRamModeFits) {
         << msg;
     EXPECT_NE(msg.find("no storage mode fits"), std::string::npos) << msg;
   }
+}
+
+TEST(PhaseBSelection, RepresentativeCountPutsSsrMin67InRam) {
+  // Projection only, nothing is allocated: ssrmin(6,7) has 481,890,304
+  // configurations. Sized by the full space, a 2 GiB budget leaves only
+  // the spill tier; sized by its 68,841,472 orbit representatives (what
+  // the checker now holds) an in-RAM mode fits.
+  const auto checker = verify::make_ssrmin_checker(6, 7);
+  const std::uint64_t budget = std::uint64_t{2} << 30;
+  EXPECT_EQ(checker.codec().total(), 481890304u);
+  EXPECT_EQ(checker.codec().representatives(), 68841472u);
+  std::uint64_t projected = 0;
+  EXPECT_EQ(verify::select_phaseb_storage(PhaseBStorage::kAuto,
+                                          checker.codec().total(), 6, 28,
+                                          budget, &projected),
+            PhaseBStorage::kSpill);
+  const PhaseBStorage mode = verify::select_phaseb_storage(
+      PhaseBStorage::kAuto, checker.codec().representatives(), 6, 28, budget,
+      &projected);
+  EXPECT_NE(mode, PhaseBStorage::kSpill);
+  EXPECT_EQ(mode, PhaseBStorage::kCompressed);
+  EXPECT_LE(projected, budget);
 }
 
 // --- memory budget ---------------------------------------------------------
