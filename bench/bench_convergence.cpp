@@ -10,15 +10,13 @@
 // cell is bit-identical at any worker count; only wall time changes.
 //
 // Execution engine: by default each sweep unit is a bit-sliced
-// sim::BatchEngine block replaying the scalar trials lane-for-lane, on
-// the widest lane backend this CPU supports (64 u64 lanes or 512
-// AVX-512 lanes; override with SSRING_LANE_BACKEND).
-// --batched off forces the scalar stab::Engine path; the statistics are
-// identical in every mode, per the BatchEngine differential tests. The
+// sim::BatchEngine block replaying the scalar trials 64 lanes to a u64
+// word. --batched off forces the scalar stab::Engine path; the statistics
+// are identical in every mode, per the BatchEngine differential tests. The
 // run always writes BENCH_convergence.json (rows: table, daemon, n,
-// trials, threads, wall_ms, batched, backend, lanes) so successive PRs
-// can track the combined bit-sliced + incremental-engine + parallel-sweep
-// speedup on the same rows.
+// trials, threads, wall_ms, batched) so successive changes can track the
+// combined bit-sliced + incremental-engine + parallel-sweep speedup on the
+// same rows.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -34,7 +32,6 @@
 #include "sim/sweep.hpp"
 #include "stabilizing/daemon.hpp"
 #include "stabilizing/engine.hpp"
-#include "util/lane_backend.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -72,22 +69,15 @@ int main(int argc, char** argv) {
       "distributed-random-subset", "adversary-max-index"};
 
   const bool batched = bench::batched_mode(argc, argv);
-  const util::LaneBackend backend = util::detect_lane_backend();
-  const unsigned lanes = util::lane_backend_lanes(backend);
   sim::TrialSweep sweep({.threads = bench::thread_count(argc, argv)});
   std::cout << "(sweep workers: " << sweep.threads() << ", engine: "
-            << (batched ? "batched" : "scalar");
-  if (batched) {
-    std::cout << ", backend " << util::lane_backend_name(backend) << " x"
-              << lanes << " lanes";
-  }
-  std::cout << ")\n\n";
+            << (batched ? "batched" : "scalar") << ")\n\n";
 
   TextTable table({"daemon", "n", "trials", "mean steps", "p95 steps",
                    "max steps", "mean/n^2", "dijkstra-part mean",
                    "all converged"});
   TextTable trajectory({"table", "daemon", "n", "trials", "threads",
-                        "wall_ms", "batched", "backend", "lanes"});
+                        "wall_ms", "batched"});
 
   for (const auto& daemon_name : daemons) {
     const bool use_batch = batched && sim::batch_daemon_supported(daemon_name);
@@ -100,11 +90,11 @@ int main(int argc, char** argv) {
       if (use_batch) {
         const auto spec = sim::lane_daemon_spec(daemon_name);
         const auto blocks = sim::plan_blocks(
-            static_cast<std::uint64_t>(trials), sweep.threads(), lanes);
+            static_cast<std::uint64_t>(trials), sweep.threads());
         const auto per_block = sweep.map(blocks.size(), [&](std::uint64_t b) {
           return sim::run_convergence_block_ssrmin(ring, spec, 1234 + n,
                                                    blocks[b], budget,
-                                                   /*two_phase=*/true, backend);
+                                                   /*two_phase=*/true);
         });
         results.reserve(static_cast<std::size_t>(trials));
         for (const auto& block : per_block) {
@@ -172,9 +162,7 @@ int main(int argc, char** argv) {
           .cell(trials)
           .cell(sweep.threads())
           .cell(ms)
-          .cell(use_batch)
-          .cell(use_batch ? util::lane_backend_name(backend) : "scalar")
-          .cell(use_batch ? lanes : 1u);
+          .cell(use_batch);
     }
   }
   std::cout << table.render() << '\n';
@@ -192,11 +180,11 @@ int main(int argc, char** argv) {
     if (batched) {
       const auto spec = sim::lane_daemon_spec("central-random");
       const auto blocks = sim::plan_blocks(static_cast<std::uint64_t>(trials),
-                                           sweep.threads(), lanes);
+                                           sweep.threads());
       const auto per_block = sweep.map(blocks.size(), [&](std::uint64_t b) {
         return sim::run_convergence_block_kstate(ring, spec, 777 + n,
                                                  blocks[b], budget,
-                                                 /*two_phase=*/false, backend);
+                                                 /*two_phase=*/false);
       });
       results.reserve(static_cast<std::size_t>(trials));
       for (const auto& block : per_block) {
@@ -242,77 +230,11 @@ int main(int argc, char** argv) {
         .cell(trials)
         .cell(sweep.threads())
         .cell(ms)
-        .cell(batched)
-        .cell(batched ? util::lane_backend_name(backend) : "scalar")
-        .cell(batched ? lanes : 1u);
+        .cell(batched);
   }
   std::cout << base.render() << '\n';
   bench::maybe_export(base, "convergence_dijkstra_baseline");
 
-  // Backend comparison: the same 512-trial workload on the 64-lane u64
-  // backend (the only backend earlier revisions had) and on the widest
-  // backend this CPU supports, in one process. The quick-mode rows above
-  // use 20 trials — fewer than one u64 word — so lane width cannot show
-  // up there; here every trial count fills the wide lanes and the
-  // per-lane outcomes are byte-identical by the lane-width invariance
-  // contract, so the wall-time delta is pure backend speedup.
-  if (batched) {
-    const std::size_t cmp_n = 512;
-    const int cmp_trials = 512;
-    // Synchronous daemon: every enabled process fires, so a step is pure
-    // plane arithmetic with no per-lane RNG draws -- the path where lane
-    // width translates directly into wall time.
-    const std::string cmp_daemon = "distributed-synchronous";
-    const auto cmp_K = static_cast<std::uint32_t>(cmp_n + 1);
-    const core::SsrMinRing cmp_ring(cmp_n, cmp_K);
-    const std::uint64_t cmp_budget = 80ULL * cmp_n * cmp_n + 400;
-    const auto spec = sim::lane_daemon_spec(cmp_daemon);
-    std::int64_t wall_u64 = 0;
-    for (const util::LaneBackend cmp_backend :
-         {util::LaneBackend::kU64, backend}) {
-      const unsigned cmp_lanes = util::lane_backend_lanes(cmp_backend);
-      const auto blocks = sim::plan_blocks(
-          static_cast<std::uint64_t>(cmp_trials), sweep.threads(), cmp_lanes);
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto per_block = sweep.map(blocks.size(), [&](std::uint64_t b) {
-        return sim::run_convergence_block_ssrmin(cmp_ring, spec, 99,
-                                                 blocks[b], cmp_budget,
-                                                 /*two_phase=*/true,
-                                                 cmp_backend);
-      });
-      const auto ms = elapsed_ms(t0);
-      std::uint64_t converged = 0;
-      for (const auto& block : per_block) {
-        for (const auto& trial : block) {
-          converged += (trial.milestone.reached && trial.result.reached);
-        }
-      }
-      if (cmp_backend == util::LaneBackend::kU64) wall_u64 = ms;
-      std::cout << "backend comparison " << cmp_daemon << " n=" << cmp_n
-                << " trials=" << cmp_trials << " backend "
-                << util::lane_backend_name(cmp_backend) << " x" << cmp_lanes
-                << ": " << ms << " ms (" << converged << "/" << cmp_trials
-                << " converged)";
-      if (cmp_backend != util::LaneBackend::kU64 && ms > 0) {
-        std::cout << " -- " << static_cast<double>(wall_u64) /
-                                   static_cast<double>(ms)
-                  << "x vs u64";
-      }
-      std::cout << '\n';
-      trajectory.row()
-          .cell("backend_comparison")
-          .cell(cmp_daemon)
-          .cell(cmp_n)
-          .cell(cmp_trials)
-          .cell(sweep.threads())
-          .cell(ms)
-          .cell(true)
-          .cell(util::lane_backend_name(cmp_backend))
-          .cell(cmp_lanes);
-      if (backend == util::LaneBackend::kU64) break;
-    }
-    std::cout << '\n';
-  }
   {
     std::ofstream json("BENCH_convergence.json");
     json << trajectory.to_json(2) << '\n';

@@ -17,13 +17,13 @@
 //
 // Besides the usual table/export, the run always writes
 // BENCH_modelcheck.json (rows: protocol, n, K, configs, threads, mode,
-// wall_ms, peak_mib, spill_bytes, rss_mib, backend, lanes, orbit) so
+// wall_ms, peak_mib, spill_bytes, rss_mib, phase_a, orbit) so
 // successive changes can track the checker's throughput and footprint
 // trajectory. `configs` is the full space; `orbit` is the counter-shift
 // orbit size (K for the library's protocols), so the checker processed
 // configs / orbit representatives, and `peak_mib` describes those.
-// `backend`/`lanes` name the bit-sliced Phase A engine (u64/avx512 x
-// 64/512) — or "scalar"/1 when the odometer sweep ran instead.
+// `phase_a` is "sliced" for the bit-sliced Phase A engine (64 u64 lanes)
+// or "scalar" when the odometer sweep ran instead.
 // `spill_bytes` is the on-disk move stream (0 for the in-RAM modes) and
 // `rss_mib` the process high-water RSS when the row finished — monotone
 // across rows, so read it as an upper bound, not a per-row delta.
@@ -83,13 +83,8 @@ ssr::verify::CheckReport run_once(const Checker& checker,
   return r;
 }
 
-std::string phase_a_backend(const ssr::verify::CheckReport& r) {
-  return r.stats.phase_a_sliced ? r.stats.phase_a_backend
-                                : std::string("scalar");
-}
-
-unsigned phase_a_lanes(const ssr::verify::CheckReport& r) {
-  return r.stats.phase_a_sliced ? r.stats.phase_a_lanes : 1u;
+const char* phase_a_engine(const ssr::verify::CheckReport& r) {
+  return r.stats.phase_a_sliced ? "sliced" : "scalar";
 }
 
 void add_trajectory_row(ssr::TextTable& trajectory, const std::string& name,
@@ -107,8 +102,7 @@ void add_trajectory_row(ssr::TextTable& trajectory, const std::string& name,
       .cell(static_cast<double>(r.stats.measured_peak_bytes) / kMiB, 2)
       .cell(r.stats.spill_bytes)
       .cell(peak_rss_mib(), 1)
-      .cell(phase_a_backend(r))
-      .cell(phase_a_lanes(r))
+      .cell(phase_a_engine(r))
       .cell(r.stats.orbit_size);
 }
 
@@ -125,7 +119,7 @@ void add_rows(ssr::TextTable& table, ssr::TextTable& trajectory,
       .cell(r.legitimate_configs)
       .cell(threads)
       .cell(ssr::verify::to_string(r.stats.mode))
-      .cell(phase_a_backend(r))
+      .cell(phase_a_engine(r))
       .cell(r.stats.orbit_size)
       .cell(r.deadlock_free)
       .cell(r.closure_holds)
@@ -222,9 +216,8 @@ void run_phase_a_comparison(ssr::TextTable& table, ssr::TextTable& trajectory,
   char line[256];
   std::snprintf(line, sizeof(line),
                 "phase A comparison %s(%zu,%u) threads=%zu: wall "
-                "scalar/sliced(%s) = %.1fx, reports %s\n",
-                name.c_str(), n, K, threads,
-                sliced.stats.phase_a_backend.c_str(), scalar_ms / sliced_ms,
+                "scalar/sliced = %.1fx, reports %s\n",
+                name.c_str(), n, K, threads, scalar_ms / sliced_ms,
                 identical ? "identical" : "DIVERGED");
   std::cout << line;
 }
@@ -268,8 +261,7 @@ int run_smoke() {
       if (!ok) ++failures;
       std::cout << "  storage=" << verify::to_string(storage)
                 << " threads=" << threads << " phase_a="
-                << (ssrmin.stats.phase_a_sliced ? ssrmin.stats.phase_a_backend
-                                                : "scalar")
+                << phase_a_engine(ssrmin)
                 << " vs scalar: " << (ok ? "ok" : "FAILED") << '\n';
     }
   }
@@ -325,7 +317,7 @@ int main(int argc, char** argv) {
                    "peakMiB", "ms"});
   TextTable trajectory({"protocol", "n", "K", "configs", "threads", "mode",
                         "wall_ms", "peak_mib", "spill_bytes", "rss_mib",
-                        "backend", "lanes", "orbit"});
+                        "phase_a", "orbit"});
 
   verify::CheckOptions ssr_options;  // defaults: privileged in [1,2]
   run_row(table, trajectory, "ssrmin", 3, 4, verify::make_ssrmin_checker(3, 4),

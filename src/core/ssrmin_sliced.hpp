@@ -1,9 +1,8 @@
-// Bit-sliced SSRmin kernel: one lane per bit of the lane word W (64 for
-// u64, 512 for the WideWord SIMD backend).
+// Bit-sliced SSRmin kernel: 64 lanes, one per bit of a u64 plane word.
 //
 // The per-process state of Algorithm 3 is 2 + ceil(log2 K) bits (rts, tra,
 // and the Dijkstra digit), so the whole protocol bit-slices: every plane
-// word holds one bit of one process across kLanes independent trials, and
+// word holds one bit of one process across 64 independent trials, and
 // the five prioritized rules become straight-line bitwise expressions
 // derived from SsrMinRing::enabled_rule. With G = G_i, f<ab>self/pred/succ
 // the <rts.tra> flag tests, and priority made explicit (a plane only covers
@@ -22,7 +21,7 @@
 //
 // Legitimacy (Definition 1) is also evaluated bit-parallel: "exactly one
 // guard" by the incrementally maintained per-lane guard counts, the
-// Dijkstra x-part step shape by util::BasicSlicedDigits::step_shape, and
+// Dijkstra x-part step shape by util::SlicedDigits::step_shape, and
 // the flag families (a)-(c) by one AND-reduced word per process:
 //
 //   ok_i = (G_i & (f01 | f10))                        — the holder
@@ -50,28 +49,24 @@
 
 namespace ssr::core {
 
-template <typename W>
-class BasicSlicedSsrMin {
+class SlicedSsrMin {
  public:
   using Ring = SsrMinRing;
   using Config = SsrConfig;
-  using Word = W;
-  using Traits = util::LaneTraits<W>;
 
   static constexpr int kRuleCount = 5;
-  static constexpr unsigned kLanes = Traits::kLanes;
 
-  explicit BasicSlicedSsrMin(const SsrMinRing& ring)
+  explicit SlicedSsrMin(const SsrMinRing& ring)
       : ring_(ring),
         n_(ring.size()),
         digits_(n_, ring.modulus()),
-        rts_(n_, Traits::zero()),
-        tra_(n_, Traits::zero()),
-        g_(n_, Traits::zero()),
-        enabled_(n_, Traits::zero()),
-        mx_(n_, Traits::zero()),
+        rts_(n_, 0),
+        tra_(n_, 0),
+        g_(n_, 0),
+        enabled_(n_, 0),
+        mx_(n_, 0),
         dirty_mark_(n_, 0) {
-    for (auto& plane : rules_) plane.assign(n_, Traits::zero());
+    for (auto& plane : rules_) plane.assign(n_, 0);
   }
 
   std::size_t size() const { return n_; }
@@ -81,7 +76,7 @@ class BasicSlicedSsrMin {
   /// dirty (lane refill is rare; correctness beats incrementality here).
   void load_lane(unsigned lane, const Config& config) {
     SSR_REQUIRE(config.size() == n_, "configuration/ring size mismatch");
-    const W bit = Traits::lane_bit(lane);
+    const std::uint64_t bit = 1ULL << lane;
     for (std::size_t i = 0; i < n_; ++i) {
       digits_.set_lane(i, lane, config[i].x);
       rts_[i] = config[i].rts ? (rts_[i] | bit) : (rts_[i] & ~bit);
@@ -94,7 +89,7 @@ class BasicSlicedSsrMin {
   /// digit `x` and flags `rts`/`tra`. Dirties only the process and its
   /// ring neighbors, so a run-decomposed refill (sliced Phase A) keeps
   /// compute() incremental. Flags outside the mask are untouched.
-  void fill_lanes(std::size_t i, const W& mask, std::uint32_t x, bool rts,
+  void fill_lanes(std::size_t i, std::uint64_t mask, std::uint32_t x, bool rts,
                   bool tra) {
     digits_.set_lanes_masked(i, mask, x);
     rts_[i] = rts ? (rts_[i] | mask) : (rts_[i] & ~mask);
@@ -109,8 +104,8 @@ class BasicSlicedSsrMin {
     Config config(n_);
     for (std::size_t i = 0; i < n_; ++i) {
       config[i].x = digits_.get_lane(i, lane);
-      config[i].rts = Traits::test(rts_[i], lane);
-      config[i].tra = Traits::test(tra_[i], lane);
+      config[i].rts = (rts_[i] >> lane) & 1u;
+      config[i].tra = (tra_[i] >> lane) & 1u;
     }
     return config;
   }
@@ -129,15 +124,15 @@ class BasicSlicedSsrMin {
     } else {
       full_rebuild_ = false;
       for (std::size_t i : dirty_) {
-        const W old = g_[i];
+        const std::uint64_t old = g_[i];
         refresh_guard(i);
         bump(g_count_, old, g_[i]);
       }
       for (std::size_t i : dirty_) {
-        const W old = enabled_[i];
+        const std::uint64_t old = enabled_[i];
         refresh_rules(i);
-        const W diff = old ^ enabled_[i];
-        if (Traits::any(diff)) {
+        const std::uint64_t diff = old ^ enabled_[i];
+        if (diff != 0) {
           bump(en_count_, old, enabled_[i]);
           enabled_changes_.emplace_back(i, diff);
         }
@@ -154,7 +149,8 @@ class BasicSlicedSsrMin {
   /// (index, old XOR new) pairs for every enabled-plane word the last
   /// incremental compute() changed — what lets BatchEngine patch its
   /// lane-major bitmaps in O(changed bits) instead of re-transposing.
-  const std::vector<std::pair<std::size_t, W>>& enabled_changes() const {
+  const std::vector<std::pair<std::size_t, std::uint64_t>>& enabled_changes()
+      const {
     return enabled_changes_;
   }
 
@@ -163,7 +159,7 @@ class BasicSlicedSsrMin {
   void mark_all_dirty() { all_dirty_ = true; }
 
   /// Lanewise "some rule enabled" per process (n words).
-  const std::vector<W>& enabled() const { return enabled_; }
+  const std::vector<std::uint64_t>& enabled() const { return enabled_; }
 
   /// Enabled-process count of one lane, maintained incrementally from the
   /// plane diffs (fresh after compute()). O(1) per query — this is what
@@ -171,50 +167,43 @@ class BasicSlicedSsrMin {
   std::uint32_t enabled_count(unsigned lane) const { return en_count_[lane]; }
 
   /// Lanewise "at least one process enabled" mask, derived from the
-  /// per-lane counts (kLanes reads instead of an n-word OR pass).
-  W any_enabled_mask() const {
-    W any = Traits::zero();
-    for (unsigned g = 0; g < Traits::kLimbs; ++g) {
-      std::uint64_t bits = 0;
-      for (unsigned b = 0; b < 64; ++b) {
-        bits |= static_cast<std::uint64_t>(en_count_[g * 64 + b] != 0) << b;
-      }
-      Traits::set_limb(any, g, bits);
-    }
-    return any;
+  /// per-lane counts (64 reads instead of an n-word OR pass).
+  std::uint64_t any_enabled_mask() const {
+    return util::lanes_where(en_count_.data(),
+                             [](std::uint32_t c) { return c != 0; });
   }
 
   /// Lanewise plane of rule r (1..5) per process.
-  const std::vector<W>& rule(int r) const {
+  const std::vector<std::uint64_t>& rule(int r) const {
     SSR_REQUIRE(r >= 1 && r <= kRuleCount, "SSRmin rule id out of range");
     return rules_[static_cast<std::size_t>(r - 1)];
   }
 
   /// Lanewise G_i planes (fresh after compute()).
-  const std::vector<W>& guards() const { return g_; }
+  const std::vector<std::uint64_t>& guards() const { return g_; }
 
   /// Lanewise "P_i holds a token" (Definition 2: the primary guard or a
   /// secondary handover flag): G_i | tra_i | (rts_i & f00succ). Fresh
   /// after compute(); the sliced Phase A transposes these planes to count
   /// privileged processes per configuration lane.
-  W privileged_plane(std::size_t i) const {
+  std::uint64_t privileged_plane(std::size_t i) const {
     const std::size_t s = i + 1 == n_ ? 0 : i + 1;
-    const W f00succ = ~(rts_[s] | tra_[s]);
+    const std::uint64_t f00succ = ~(rts_[s] | tra_[s]);
     return g_[i] | tra_[i] | (rts_[i] & f00succ);
   }
 
   /// One composite-atomicity step: sel[i] is the lane mask of processes
   /// moving at i. Every selected (process, lane) must be enabled per the
   /// planes of the last compute(); all reads are pre-step.
-  void apply(const std::vector<W>& sel) {
+  void apply(const std::vector<std::uint64_t>& sel) {
     SSR_REQUIRE(sel.size() == n_, "selection/ring size mismatch");
     moved_.clear();
     for (std::size_t i = 0; i < n_; ++i) {
-      if (Traits::any(sel[i])) moved_.push_back(i);
+      if (sel[i] != 0) moved_.push_back(i);
     }
     for (std::size_t i : moved_) {
-      const W s = sel[i];
-      SSR_ASSERT(!Traits::any(s & ~enabled_[i]),
+      const std::uint64_t s = sel[i];
+      SSR_ASSERT((s & ~enabled_[i]) == 0,
                  "selected a disabled (process, lane)");
       // Rules 2..5 clear both flags; rule 1 sets <1.0>, rule 3 sets <0.1>.
       rts_[i] = (rts_[i] & ~s) | (s & rules_[0][i]);
@@ -224,7 +213,7 @@ class BasicSlicedSsrMin {
     }
     digits_.apply_command(mx_.data());
     for (std::size_t i : moved_) {
-      mx_[i] = Traits::zero();
+      mx_[i] = 0;
       mark_dirty(i == 0 ? n_ - 1 : i - 1);
       mark_dirty(i);
       mark_dirty(i + 1 == n_ ? 0 : i + 1);
@@ -232,34 +221,28 @@ class BasicSlicedSsrMin {
   }
 
   struct LegitMasks {
-    W milestone = Traits::zero();   ///< dijkstra_part_legitimate per lane
-    W legitimate = Traits::zero();  ///< Definition 1 per lane
+    std::uint64_t milestone = 0;   ///< dijkstra_part_legitimate per lane
+    std::uint64_t legitimate = 0;  ///< Definition 1 per lane
   };
 
   /// Lanewise legitimacy of the current planes (fresh after compute()).
   /// "Exactly one guard" comes from the incrementally maintained per-lane
-  /// guard counts (kLanes reads, not an n-word vertical counter); the
+  /// guard counts (64 reads, not an n-word vertical counter); the
   /// expensive x-shape and flag reductions only run for lanes that pass
   /// it, which is rare before convergence.
   LegitMasks legit_masks() const {
-    W one = Traits::zero();
-    for (unsigned g = 0; g < Traits::kLimbs; ++g) {
-      std::uint64_t bits = 0;
-      for (unsigned b = 0; b < 64; ++b) {
-        bits |= static_cast<std::uint64_t>(g_count_[g * 64 + b] == 1) << b;
-      }
-      Traits::set_limb(one, g, bits);
-    }
-    if (!Traits::any(one)) return {};
+    const std::uint64_t one = util::lanes_where(
+        g_count_.data(), [](std::uint32_t c) { return c == 1; });
+    if (one == 0) return {};
     LegitMasks masks;
     masks.milestone = digits_.step_shape(one);
-    W ok = masks.milestone;
-    for (std::size_t i = 0; i < n_ && Traits::any(ok); ++i) {
+    std::uint64_t ok = masks.milestone;
+    for (std::size_t i = 0; i < n_ && ok != 0; ++i) {
       const std::size_t p = i == 0 ? n_ - 1 : i - 1;
-      const W f01 = ~rts_[i] & tra_[i];
-      const W f10 = rts_[i] & ~tra_[i];
-      const W f00 = ~(rts_[i] | tra_[i]);
-      const W f10p = rts_[p] & ~tra_[p];
+      const std::uint64_t f01 = ~rts_[i] & tra_[i];
+      const std::uint64_t f10 = rts_[i] & ~tra_[i];
+      const std::uint64_t f00 = ~(rts_[i] | tra_[i]);
+      const std::uint64_t f10p = rts_[p] & ~tra_[p];
       ok &= (g_[i] & (f01 | f10)) | (~g_[i] & (f00 | (g_[p] & f01 & f10p)));
     }
     masks.legitimate = ok;
@@ -275,19 +258,19 @@ class BasicSlicedSsrMin {
   void refresh_rules(std::size_t i) {
     const std::size_t p = i == 0 ? n_ - 1 : i - 1;
     const std::size_t s = i + 1 == n_ ? 0 : i + 1;
-    const W g = g_[i];
-    const W f10self = rts_[i] & ~tra_[i];
-    const W f01self = ~rts_[i] & tra_[i];
-    const W f00self = ~(rts_[i] | tra_[i]);
-    const W f10pred = rts_[p] & ~tra_[p];
-    const W f00pred = ~(rts_[p] | tra_[p]);
-    const W f01succ = ~rts_[s] & tra_[s];
-    const W f00succ = ~(rts_[s] | tra_[s]);
-    const W r1 = g & ~f10self;
-    const W r2 = g & f10self & f01succ;
-    const W r4 = g & f10self & ~f01succ & ~(f00pred & f00succ);
-    const W r3 = ~g & f10pred & ~f01self;
-    const W r5 = ~g & ~f10pred & ~f00self;
+    const std::uint64_t g = g_[i];
+    const std::uint64_t f10self = rts_[i] & ~tra_[i];
+    const std::uint64_t f01self = ~rts_[i] & tra_[i];
+    const std::uint64_t f00self = ~(rts_[i] | tra_[i]);
+    const std::uint64_t f10pred = rts_[p] & ~tra_[p];
+    const std::uint64_t f00pred = ~(rts_[p] | tra_[p]);
+    const std::uint64_t f01succ = ~rts_[s] & tra_[s];
+    const std::uint64_t f00succ = ~(rts_[s] | tra_[s]);
+    const std::uint64_t r1 = g & ~f10self;
+    const std::uint64_t r2 = g & f10self & f01succ;
+    const std::uint64_t r4 = g & f10self & ~f01succ & ~(f00pred & f00succ);
+    const std::uint64_t r3 = ~g & f10pred & ~f01self;
+    const std::uint64_t r5 = ~g & ~f10pred & ~f00self;
     rules_[0][i] = r1;
     rules_[1][i] = r2;
     rules_[2][i] = r3;
@@ -303,11 +286,11 @@ class BasicSlicedSsrMin {
   }
 
   /// Applies a one-word plane change to a per-lane count array.
-  static void bump(std::array<std::uint32_t, kLanes>& count, const W& before,
-                   const W& after) {
-    Traits::for_each_lane(after & ~before,
+  static void bump(std::array<std::uint32_t, util::kLanes>& count,
+                   std::uint64_t before, std::uint64_t after) {
+    util::for_each_lane(after & ~before,
                           [&](unsigned lane) { ++count[lane]; });
-    Traits::for_each_lane(before & ~after,
+    util::for_each_lane(before & ~after,
                           [&](unsigned lane) { --count[lane]; });
   }
 
@@ -316,35 +299,32 @@ class BasicSlicedSsrMin {
     g_count_.fill(0);
     en_count_.fill(0);
     for (std::size_t i = 0; i < n_; ++i) {
-      Traits::for_each_lane(g_[i], [&](unsigned lane) { ++g_count_[lane]; });
-      Traits::for_each_lane(enabled_[i],
+      util::for_each_lane(g_[i], [&](unsigned lane) { ++g_count_[lane]; });
+      util::for_each_lane(enabled_[i],
                             [&](unsigned lane) { ++en_count_[lane]; });
     }
   }
 
   SsrMinRing ring_;  // small value type; copied so the kernel is movable
   std::size_t n_;
-  util::BasicSlicedDigits<W> digits_;
-  std::vector<W> rts_;
-  std::vector<W> tra_;
-  std::vector<W> g_;
-  std::vector<W> rules_[kRuleCount];
-  std::vector<W> enabled_;
+  util::SlicedDigits digits_;
+  std::vector<std::uint64_t> rts_;
+  std::vector<std::uint64_t> tra_;
+  std::vector<std::uint64_t> g_;
+  std::vector<std::uint64_t> rules_[kRuleCount];
+  std::vector<std::uint64_t> enabled_;
   // Per-lane guard / enabled-process counts, kept in lockstep with the
   // planes by compute() (diff-bumped incrementally, recounted on loads).
-  std::array<std::uint32_t, kLanes> g_count_{};
-  std::array<std::uint32_t, kLanes> en_count_{};
-  std::vector<std::pair<std::size_t, W>> enabled_changes_;
+  std::array<std::uint32_t, util::kLanes> g_count_{};
+  std::array<std::uint32_t, util::kLanes> en_count_{};
+  std::vector<std::pair<std::size_t, std::uint64_t>> enabled_changes_;
   bool full_rebuild_ = false;
   // Scratch: C_i lane masks (kept zeroed between steps) and the dirty set.
-  std::vector<W> mx_;
+  std::vector<std::uint64_t> mx_;
   std::vector<std::uint8_t> dirty_mark_;
   std::vector<std::size_t> dirty_;
   std::vector<std::size_t> moved_;
   bool all_dirty_ = true;
 };
-
-/// The classic 64-lane kernel every scalar-u64 call site keeps using.
-using SlicedSsrMin = BasicSlicedSsrMin<std::uint64_t>;
 
 }  // namespace ssr::core

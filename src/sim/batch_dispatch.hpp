@@ -1,18 +1,12 @@
-// Runtime-dispatched entry points for the batched convergence runs.
+// Non-template entry points for the batched convergence runs: the SSRmin
+// and Dijkstra K-state kernels instantiated once in the library, so
+// callers need not compile sim::run_convergence_block themselves.
 //
-// The templated run_convergence_block<Kernel> compiles for any lane word;
-// the 512-lane instantiations live in batch_backend_avx512.cpp, which CMake
-// compiles with -mavx512f when the compiler supports the flag — independent
-// of -march=native, so a generic binary still carries the SIMD backend and
-// picks one via
-// util::detect_lane_backend() (cpuid + SSRING_LANE_BACKEND override). The
-// u64 path is always present: requesting a backend the build or CPU lacks
-// silently degrades, never faults.
-//
-// Lane-width invariance is part of the bit-identical contract: every trial
-// consumes the trial_rng(seed, t) stream regardless of which lane or word
-// it lands in, so all backends return byte-identical outcome vectors
-// (pinned in tests/test_batch_engine.cpp).
+// Each call runs one block on 64 u64 lanes. Every trial consumes the
+// trial_rng(seed, t) stream whichever lane it lands in, so the outcome
+// vector equals the scalar path's (pinned in tests/test_batch_engine.cpp).
+// The trailing LaneBackend tag only keeps the benchmark harness
+// (perfbench/) source-compatible; it has one value and is ignored.
 #pragma once
 
 #include <cstdint>
@@ -25,33 +19,16 @@
 
 namespace ssr::sim {
 
-/// run_convergence_block over the SSRmin kernel at the requested lane
-/// width (falls back to u64 if the backend is unavailable).
+/// run_convergence_block over the bit-sliced SSRmin kernel.
 std::vector<BatchTrialOutcome> run_convergence_block_ssrmin(
     const core::SsrMinRing& ring, const LaneDaemonSpec& spec,
     std::uint64_t seed, BlockRange block, std::uint64_t max_steps,
-    bool two_phase, util::LaneBackend backend);
+    bool two_phase, util::LaneBackend backend = util::LaneBackend::kU64);
 
-/// run_convergence_block over the Dijkstra K-state kernel at the requested
-/// lane width (falls back to u64 if the backend is unavailable).
+/// run_convergence_block over the bit-sliced Dijkstra K-state kernel.
 std::vector<BatchTrialOutcome> run_convergence_block_kstate(
     const dijkstra::KStateRing& ring, const LaneDaemonSpec& spec,
     std::uint64_t seed, BlockRange block, std::uint64_t max_steps,
-    bool two_phase, util::LaneBackend backend);
-
-namespace detail {
-
-// Implemented in the per-ISA translation unit (same signature as the
-// public entry points minus the backend tag).
-std::vector<BatchTrialOutcome> run_convergence_block_ssrmin_avx512(
-    const core::SsrMinRing& ring, const LaneDaemonSpec& spec,
-    std::uint64_t seed, BlockRange block, std::uint64_t max_steps,
-    bool two_phase);
-std::vector<BatchTrialOutcome> run_convergence_block_kstate_avx512(
-    const dijkstra::KStateRing& ring, const LaneDaemonSpec& spec,
-    std::uint64_t seed, BlockRange block, std::uint64_t max_steps,
-    bool two_phase);
-
-}  // namespace detail
+    bool two_phase, util::LaneBackend backend = util::LaneBackend::kU64);
 
 }  // namespace ssr::sim

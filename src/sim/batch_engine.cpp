@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#include "core/ssrmin_sliced.hpp"
+#include "dijkstra/kstate_sliced.hpp"
+#include "sim/batch_dispatch.hpp"
+
 namespace ssr::sim {
 
 bool batch_daemon_supported(const std::string& name) {
@@ -59,6 +63,22 @@ std::vector<BlockRange> plan_blocks(std::uint64_t trials, std::size_t workers,
     if (hi > lo) blocks.push_back({lo, hi - lo});
   }
   return blocks;
+}
+
+std::vector<BatchTrialOutcome> run_convergence_block_ssrmin(
+    const core::SsrMinRing& ring, const LaneDaemonSpec& spec,
+    std::uint64_t seed, BlockRange block, std::uint64_t max_steps,
+    bool two_phase, util::LaneBackend) {
+  return run_convergence_block<core::SlicedSsrMin>(ring, spec, seed, block,
+                                                   max_steps, two_phase);
+}
+
+std::vector<BatchTrialOutcome> run_convergence_block_kstate(
+    const dijkstra::KStateRing& ring, const LaneDaemonSpec& spec,
+    std::uint64_t seed, BlockRange block, std::uint64_t max_steps,
+    bool two_phase, util::LaneBackend) {
+  return run_convergence_block<dijkstra::SlicedKState>(ring, spec, seed, block,
+                                                       max_steps, two_phase);
 }
 
 }  // namespace ssr::sim

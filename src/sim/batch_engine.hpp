@@ -1,10 +1,10 @@
-// sim::BatchEngine — step one lane word's worth of Monte-Carlo trials at
-// a time (64 for the u64 kernels, 512 for the WideWord SIMD backend).
+// sim::BatchEngine — step 64 Monte-Carlo trials at a time, one per bit of
+// a u64 plane word.
 //
-// A bit-sliced kernel (core::BasicSlicedSsrMin, dijkstra::BasicSlicedKState)
-// holds kLanes independent trials ("lanes") as bit planes; BatchEngine
-// drives the daemon side: per-lane scheduler state, per-lane RNG streams,
-// an active-lane mask for retiring converged trials, and continuous refill
+// A bit-sliced kernel (core::SlicedSsrMin, dijkstra::SlicedKState) holds
+// 64 independent trials ("lanes") as bit planes; BatchEngine drives the
+// daemon side: per-lane scheduler state, per-lane RNG streams, an
+// active-lane mask for retiring converged trials, and continuous refill
 // from the trial queue.
 //
 // The load-bearing contract is *bit-identical lanes*: lane l of a batched
@@ -12,13 +12,13 @@
 // same draw order (random_config first, then one split() for the daemon),
 // same per-step daemon draws (see step()) — so every lane's step trace
 // equals a scalar stab::Engine run of the same trial, and batched sweep
-// tables are byte-identical to scalar ones at any worker count AND any
-// lane width (the trial->stream mapping never depends on which lane or
-// word the trial lands in). A differential test (tests/test_batch_engine.cpp)
-// pins this across protocols x daemons x ring sizes x seeds x lane words.
+// tables are byte-identical to scalar ones at any worker count (the
+// trial->stream mapping never depends on which lane or block the trial
+// lands in). A differential test (tests/test_batch_engine.cpp) pins this
+// across protocols x daemons x ring sizes x seeds.
 //
 // Parallelism composes, not competes: one BatchEngine block per TrialSweep
-// unit, so `--threads` multiplies the per-word SIMD win.
+// unit, so `--threads` multiplies the per-word win.
 #pragma once
 
 #include <array>
@@ -67,63 +67,61 @@ LaneDaemonSpec lane_daemon_spec(const std::string& name);
 LaneDaemonSpec rule_avoiding_spec(std::vector<int> avoid_rules);
 
 /// A contiguous range of trial indices, the unit handed to one TrialSweep
-/// worker (one BatchEngine per block; > kLanes trials exercise lane refill).
+/// worker (one BatchEngine per block; > 64 trials exercise lane refill).
 struct BlockRange {
   std::uint64_t first = 0;
   std::uint64_t count = 0;
 };
 
 /// Splits `trials` into contiguous blocks: enough to feed `workers`, few
-/// enough that blocks exceed one `lanes`-wide generation where possible
-/// (so refill actually happens and per-block fixed costs amortize). The
-/// split depends only on (trials, workers, lanes); per-trial determinism
-/// never depends on the blocking.
+/// enough that blocks exceed one 64-lane generation where possible (so
+/// refill actually happens and per-block fixed costs amortize). The split
+/// depends only on (trials, workers); per-trial determinism never depends
+/// on the blocking. `lanes` only keeps the benchmark harness (perfbench/)
+/// source-compatible; the library never passes it.
 std::vector<BlockRange> plan_blocks(std::uint64_t trials, std::size_t workers,
-                                    unsigned lanes = 64);
+                                    unsigned lanes = util::kLanes);
 
 template <typename Kernel>
 class BatchEngine {
  public:
   using Config = typename Kernel::Config;
-  using Word = typename Kernel::Word;
-  using Traits = util::LaneTraits<Word>;
-  static constexpr unsigned kLanes = Traits::kLanes;
 
   BatchEngine(Kernel kernel, LaneDaemonSpec spec)
       : kernel_(std::move(kernel)),
         spec_(std::move(spec)),
         n_(kernel_.size()),
         words_((n_ + 63) / 64),
-        sel_(n_, Traits::zero()),
-        lane_bits_(kLanes * words_, 0),
+        sel_(n_, 0),
+        lane_bits_(util::kLanes * words_, 0),
         pref_bits_(spec_.kind == LaneDaemonKind::kRuleAvoiding
-                       ? kLanes * words_
+                       ? util::kLanes * words_
                        : 0,
                    0),
         pref_plane_(spec_.kind == LaneDaemonKind::kRuleAvoiding ? n_ : 0,
-                    Traits::zero()) {}
+                    0) {}
 
   std::size_t size() const { return n_; }
   const Kernel& kernel() const { return kernel_; }
   Kernel& kernel() { return kernel_; }
 
   /// Mask of lanes currently carrying a live trial.
-  const Word& active() const { return active_; }
+  std::uint64_t active() const { return active_; }
 
   /// Installs a trial into a lane: the scalar-path equivalent of
   /// constructing the engine from `config` and make_daemon(..., rng).
   /// Resets the lane's step/move/forced counters and scheduler state.
   void load_lane(unsigned lane, const Config& config, Rng daemon_rng) {
-    SSR_REQUIRE(lane < kLanes, "lane index out of range");
+    SSR_REQUIRE(lane < util::kLanes, "lane index out of range");
     kernel_.load_lane(lane, config);
     lanes_[lane] = LaneState{};
     lanes_[lane].rng = daemon_rng;
-    Traits::set(active_, lane);
+    active_ |= 1ULL << lane;
   }
 
   /// Removes a finished trial from the active mask (its planes become
   /// garbage until the lane is reloaded).
-  void retire_lane(unsigned lane) { active_ &= ~Traits::lane_bit(lane); }
+  void retire_lane(unsigned lane) { active_ &= ~(1ULL << lane); }
 
   /// Recomputes the kernel planes and the per-lane enabled bitmaps. Must
   /// be called after load_lane/step and before any_enabled/legit/step.
@@ -144,7 +142,7 @@ class BatchEngine {
         for (const auto& [i, diff] : kernel_.enabled_changes()) {
           const std::size_t w = i >> 6;
           const std::uint64_t bit = 1ULL << (i & 63);
-          Traits::for_each_lane(diff, [&](unsigned lane) {
+          util::for_each_lane(diff, [&](unsigned lane) {
             lane_bits_[static_cast<std::size_t>(lane) * words_ + w] ^= bit;
           });
         }
@@ -152,7 +150,7 @@ class BatchEngine {
     }
     if (spec_.kind == LaneDaemonKind::kRuleAvoiding) {
       for (std::size_t i = 0; i < n_; ++i) {
-        Word avoided = Traits::zero();
+        std::uint64_t avoided = 0;
         for (int r : spec_.avoid_rules) avoided |= kernel_.rule(r)[i];
         pref_plane_[i] = en[i] & ~avoided;
       }
@@ -162,7 +160,7 @@ class BatchEngine {
 
   /// Lanewise "at least one process enabled" (a zero bit means the lane's
   /// trial is deadlocked). Valid after refresh().
-  const Word& any_enabled() const { return any_enabled_; }
+  std::uint64_t any_enabled() const { return any_enabled_; }
 
   /// Lanewise legitimacy masks, forwarded from the kernel.
   auto legit_masks() const { return kernel_.legit_masks(); }
@@ -175,38 +173,38 @@ class BatchEngine {
   ///   rule-avoiding:   below over preferred ids if any, else a forced
   ///                    below over all enabled;
   ///   round-robin / max-index / synchronous: no draws.
-  void step(const Word& mask) {
-    SSR_REQUIRE(Traits::any(mask), "a batched step must move at least one lane");
-    SSR_REQUIRE(!Traits::any(mask & ~active_), "stepping an inactive lane");
-    for (std::size_t i : touched_) sel_[i] = Traits::zero();
+  void step(std::uint64_t mask) {
+    SSR_REQUIRE(mask != 0, "a batched step must move at least one lane");
+    SSR_REQUIRE((mask & ~active_) == 0, "stepping an inactive lane");
+    for (std::size_t i : touched_) sel_[i] = 0;
     touched_.clear();
     if (spec_.kind == LaneDaemonKind::kSynchronous) {
       const auto& en = kernel_.enabled();
       for (std::size_t i = 0; i < n_; ++i) {
-        const Word s = en[i] & mask;
-        if (Traits::any(s)) {
+        const std::uint64_t s = en[i] & mask;
+        if (s != 0) {
           sel_[i] = s;
           touched_.push_back(i);
         }
       }
-      Traits::for_each_lane(mask, [&](unsigned lane) {
+      util::for_each_lane(mask, [&](unsigned lane) {
         lanes_[lane].moves += kernel_.enabled_count(lane);
       });
     } else {
-      Traits::for_each_lane(mask,
+      util::for_each_lane(mask,
                             [&](unsigned lane) { select_for_lane(lane); });
     }
     kernel_.apply(sel_);
-    Traits::for_each_lane(mask, [&](unsigned lane) { ++lanes_[lane].steps; });
+    util::for_each_lane(mask, [&](unsigned lane) { ++lanes_[lane].steps; });
   }
 
   /// Lane mask of lanes whose *last step* executed one of the given rules
   /// (bench_lemma5's gap metric). Valid between step() and the next
   /// refresh(): it reads the pre-step rule planes the step selected from.
-  Word last_moved_mask(std::initializer_list<int> rules) const {
-    Word acc = Traits::zero();
+  std::uint64_t last_moved_mask(std::initializer_list<int> rules) const {
+    std::uint64_t acc = 0;
     for (std::size_t i : touched_) {
-      Word plane = Traits::zero();
+      std::uint64_t plane = 0;
       for (int r : rules) plane |= kernel_.rule(r)[i];
       acc |= sel_[i] & plane;
     }
@@ -238,23 +236,17 @@ class BatchEngine {
   }
 
   /// Process-major planes -> lane-major bitmaps, one 64x64 transpose per
-  /// (word column, limb group). Rows past n_ are zero, so per-lane bitmaps
-  /// never carry phantom processes.
-  void transpose_planes(const Word* planes, std::uint64_t* out) {
+  /// word column. Rows past n_ are zero, so per-lane bitmaps never carry
+  /// phantom processes.
+  void transpose_planes(const std::uint64_t* planes, std::uint64_t* out) {
     std::uint64_t tmp[64];
     for (std::size_t w = 0; w < words_; ++w) {
       const std::size_t base = w * 64;
       const std::size_t rows = n_ - base < 64 ? n_ - base : 64;
-      for (unsigned g = 0; g < Traits::kLimbs; ++g) {
-        for (std::size_t r = 0; r < rows; ++r) {
-          tmp[r] = Traits::limb(planes[base + r], g);
-        }
-        for (std::size_t r = rows; r < 64; ++r) tmp[r] = 0;
-        util::transpose64(tmp);
-        for (unsigned l = 0; l < 64; ++l) {
-          out[(static_cast<std::size_t>(g) * 64 + l) * words_ + w] = tmp[l];
-        }
-      }
+      for (std::size_t r = 0; r < rows; ++r) tmp[r] = planes[base + r];
+      for (std::size_t r = rows; r < 64; ++r) tmp[r] = 0;
+      util::transpose64(tmp);
+      for (unsigned l = 0; l < 64; ++l) out[l * words_ + w] = tmp[l];
     }
   }
 
@@ -303,13 +295,13 @@ class BatchEngine {
     SSR_ASSERT(false, "max-index scan found no enabled process");
   }
 
-  void mark(std::size_t i, const Word& lane_bit) {
-    if (!Traits::any(sel_[i])) touched_.push_back(i);
+  void mark(std::size_t i, std::uint64_t lane_bit) {
+    if (sel_[i] == 0) touched_.push_back(i);
     sel_[i] |= lane_bit;
   }
 
   void select_for_lane(unsigned lane) {
-    const Word lane_bit = Traits::lane_bit(lane);
+    const std::uint64_t lane_bit = 1ULL << lane;
     const std::uint64_t* enabled = row(lane);
     LaneState& state = lanes_[lane];
     switch (spec_.kind) {
@@ -375,16 +367,16 @@ class BatchEngine {
   LaneDaemonSpec spec_;
   std::size_t n_;
   std::size_t words_;
-  Word active_ = Traits::zero();
-  Word any_enabled_ = Traits::zero();
-  std::array<LaneState, kLanes> lanes_{};
+  std::uint64_t active_ = 0;
+  std::uint64_t any_enabled_ = 0;
+  std::array<LaneState, util::kLanes> lanes_{};
   // Per-process lane masks of the current selection; only touched_ entries
   // are nonzero (cleared lazily at the next step to keep O(moved) cost).
-  std::vector<Word> sel_;
+  std::vector<std::uint64_t> sel_;
   std::vector<std::size_t> touched_;
-  std::vector<std::uint64_t> lane_bits_;  // lane-major enabled bitmaps
-  std::vector<std::uint64_t> pref_bits_;  // lane-major non-avoided bitmaps
-  std::vector<Word> pref_plane_;          // process-major scratch
+  std::vector<std::uint64_t> lane_bits_;   // lane-major enabled bitmaps
+  std::vector<std::uint64_t> pref_bits_;   // lane-major non-avoided bitmaps
+  std::vector<std::uint64_t> pref_plane_;  // process-major scratch
 };
 
 /// Outcome of one batched convergence trial (mirrors the scalar bench
@@ -407,9 +399,6 @@ std::vector<BatchTrialOutcome> run_convergence_block(
     const typename Kernel::Ring& ring, const LaneDaemonSpec& spec,
     std::uint64_t seed, BlockRange block, std::uint64_t max_steps,
     bool two_phase) {
-  using Traits = typename BatchEngine<Kernel>::Traits;
-  using Word = typename Kernel::Word;
-  constexpr unsigned kLanes = Traits::kLanes;
   std::vector<BatchTrialOutcome> out(block.count);
   if (block.count == 0) return out;
   BatchEngine<Kernel> engine{Kernel(ring), spec};
@@ -419,7 +408,7 @@ std::vector<BatchTrialOutcome> run_convergence_block(
     std::uint64_t leg_steps = 0;
     std::uint64_t leg_moves0 = 0;
   };
-  std::array<Slot, kLanes> slots{};
+  std::array<Slot, util::kLanes> slots{};
   std::uint64_t next = 0;
   const auto load_next = [&](unsigned lane) {
     const std::uint64_t trial = block.first + next++;
@@ -428,33 +417,33 @@ std::vector<BatchTrialOutcome> run_convergence_block(
     engine.load_lane(lane, config, rng.split());
     slots[lane] = Slot{trial, 0, 0, 0};
   };
-  for (unsigned lane = 0; lane < kLanes && next < block.count; ++lane) {
+  for (unsigned lane = 0; lane < util::kLanes && next < block.count; ++lane) {
     load_next(lane);
   }
-  while (Traits::any(engine.active())) {
+  while (engine.active() != 0) {
     engine.refresh();
     const auto legit = engine.legit_masks();
-    const Word runnable = engine.any_enabled();
-    Word step_mask = Traits::zero();
+    const std::uint64_t runnable = engine.any_enabled();
+    std::uint64_t step_mask = 0;
     bool refilled = false;
     // Iterate a snapshot: retire_lane/load_lane mutate the live mask.
-    const Word active_lanes = engine.active();
-    Traits::for_each_lane(active_lanes, [&](unsigned lane) {
+    const std::uint64_t active_lanes = engine.active();
+    util::for_each_lane(active_lanes, [&](unsigned lane) {
       Slot& slot = slots[lane];
       bool finished = false;
       for (;;) {
         const bool milestone_leg = two_phase && slot.phase == 0;
-        const bool done = milestone_leg ? Traits::test(legit.milestone, lane)
-                                        : Traits::test(legit.legitimate, lane);
+        const bool done = milestone_leg ? ((legit.milestone >> lane) & 1u)
+                                        : ((legit.legitimate >> lane) & 1u);
         stab::RunResult leg;
         if (done) {
           leg.reached = true;
         } else if (slot.leg_steps == max_steps) {
           // budget exhausted: leg ends unreached, not deadlocked
-        } else if (!Traits::test(runnable, lane)) {
+        } else if (!((runnable >> lane) & 1u)) {
           leg.deadlocked = true;
         } else {
-          Traits::set(step_mask, lane);
+          step_mask |= 1ULL << lane;
           break;
         }
         leg.steps = slot.leg_steps;
@@ -482,9 +471,9 @@ std::vector<BatchTrialOutcome> run_convergence_block(
     // discarded step_mask re-derives identically next iteration (leg
     // counters only advance on an actual step).
     if (refilled) continue;
-    if (Traits::any(step_mask)) {
+    if (step_mask != 0) {
       engine.step(step_mask);
-      Traits::for_each_lane(step_mask,
+      util::for_each_lane(step_mask,
                             [&](unsigned lane) { ++slots[lane].leg_steps; });
     }
   }

@@ -1,22 +1,13 @@
 // Bit-plane primitives for the bit-sliced batch kernels.
 //
-// Layout convention (shared by core::BasicSlicedSsrMin and
-// dijkstra::BasicSlicedKState): one lane word holds one bit of one process
-// across kLanes Monte-Carlo lanes ("trial-major"); bit `l` of the word
-// belongs to lane `l`. A b-bit per-process quantity (the Dijkstra digit)
-// becomes b consecutive plane words per process, least-significant bit
-// first. All helpers here are straight-line bitwise code over that layout:
-// lanewise compare, lanewise +1 mod K, masked plane copy, and the 64x64
-// transpose that converts the process-major enabled planes into per-lane
-// bitmaps for daemon selection.
-//
-// The lane word is a template parameter: `std::uint64_t` gives the classic
-// 64-lane engine, `WideWord<NW>` gives 64*NW lanes (`Lane512 = WideWord<8>`
-// is the AVX-512 backend's word). WideWord
-// is a plain array of u64 limbs with bitwise operators written as limb
-// loops — no intrinsics — so the same header compiles everywhere and the
-// per-TU SIMD backend (see sim/batch_dispatch.cpp) gets its vector
-// codegen purely from compiler flags on those translation units.
+// Layout convention (shared by core::SlicedSsrMin and dijkstra::SlicedKState):
+// one u64 lane word holds one bit of one process across 64 Monte-Carlo
+// lanes ("trial-major"); bit `l` of the word belongs to lane `l`. A b-bit
+// per-process quantity (the Dijkstra digit) becomes b consecutive plane
+// words per process, least-significant bit first. All helpers here are
+// straight-line bitwise code over that layout: lanewise compare, lanewise
+// +1 mod K, masked plane copy, and the 64x64 transpose that converts the
+// process-major enabled planes into per-lane bitmaps for daemon selection.
 #pragma once
 
 #include <bit>
@@ -27,6 +18,9 @@
 #include "util/assert.hpp"
 
 namespace ssr::util {
+
+/// Lanes per plane word.
+inline constexpr unsigned kLanes = 64;
 
 /// Upper bound on digit planes per process. K is a u32, so bit_width(K-1)
 /// never exceeds 32; the fixed-size digit scratch buffers below rely on it
@@ -41,8 +35,7 @@ inline unsigned digit_plane_count(std::uint32_t K) {
 
 /// In-place 64x64 bit-matrix transpose (Hacker's Delight §7-3, oriented so
 /// bit position == column index): after the call, bit r of a[c] equals the
-/// old bit c of a[r]. Wider lane words transpose one 64-lane limb group at
-/// a time through this same routine.
+/// old bit c of a[r].
 inline void transpose64(std::uint64_t a[64]) {
   std::uint64_t m = 0x00000000FFFFFFFFULL;
   for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
@@ -54,162 +47,41 @@ inline void transpose64(std::uint64_t a[64]) {
   }
 }
 
-/// A lane word of 64 * NW lanes: a plain limb array with bitwise operators.
-/// Limb g covers lanes [64g, 64g + 64). The alignment matches the natural
-/// vector register width so the auto-vectorized limb loops load aligned.
-template <std::size_t NW>
-struct alignas(8 * NW) WideWord {
-  static_assert(NW >= 2 && (NW & (NW - 1)) == 0,
-                "WideWord limb count must be a power of two >= 2");
-  std::uint64_t limb[NW];
+/// Mask of lanes [lo, hi). Both bounds saturate at kLanes, so an empty
+/// window at the very end (lo == hi == 64) is a valid empty mask rather
+/// than a shift-by-width.
+inline constexpr std::uint64_t lane_range_mask(unsigned lo, unsigned hi) {
+  const std::uint64_t upto = hi >= kLanes ? ~0ULL : (1ULL << hi) - 1;
+  const std::uint64_t below = lo >= kLanes ? ~0ULL : (1ULL << lo) - 1;
+  return upto & ~below;
+}
 
-  friend WideWord operator&(WideWord a, const WideWord& b) {
-    for (std::size_t g = 0; g < NW; ++g) a.limb[g] &= b.limb[g];
-    return a;
+/// Calls fn(lane) for every set lane of w, in ascending order.
+template <typename Fn>
+inline void for_each_lane(std::uint64_t w, Fn&& fn) {
+  while (w != 0) {
+    fn(static_cast<unsigned>(std::countr_zero(w)));
+    w &= w - 1;
   }
-  friend WideWord operator|(WideWord a, const WideWord& b) {
-    for (std::size_t g = 0; g < NW; ++g) a.limb[g] |= b.limb[g];
-    return a;
-  }
-  friend WideWord operator^(WideWord a, const WideWord& b) {
-    for (std::size_t g = 0; g < NW; ++g) a.limb[g] ^= b.limb[g];
-    return a;
-  }
-  WideWord operator~() const {
-    WideWord r;
-    for (std::size_t g = 0; g < NW; ++g) r.limb[g] = ~limb[g];
-    return r;
-  }
-  WideWord& operator&=(const WideWord& b) {
-    for (std::size_t g = 0; g < NW; ++g) limb[g] &= b.limb[g];
-    return *this;
-  }
-  WideWord& operator|=(const WideWord& b) {
-    for (std::size_t g = 0; g < NW; ++g) limb[g] |= b.limb[g];
-    return *this;
-  }
-  WideWord& operator^=(const WideWord& b) {
-    for (std::size_t g = 0; g < NW; ++g) limb[g] ^= b.limb[g];
-    return *this;
-  }
-  friend bool operator==(const WideWord&, const WideWord&) = default;
-};
+}
 
-using Lane512 = WideWord<8>;
-
-/// Uniform lane access over the lane-word types. Everything the sliced
-/// kernels need beyond the bitwise operators lives here, so generic code
-/// never branches on the concrete word type.
-template <typename W>
-struct LaneTraits;
-
-template <>
-struct LaneTraits<std::uint64_t> {
-  using Word = std::uint64_t;
-  static constexpr unsigned kLanes = 64;
-  static constexpr unsigned kLimbs = 1;
-
-  static constexpr Word zero() { return 0; }
-  static constexpr Word ones() { return ~0ULL; }
-  static constexpr bool any(Word w) { return w != 0; }
-  static constexpr bool test(Word w, unsigned lane) {
-    return (w >> lane) & 1u;
+/// Mask of the lanes whose per-lane count satisfies pred: bit l is
+/// pred(count[l]). The kernels keep guard/enabled counts per lane and turn
+/// them back into lane words with this.
+template <typename Pred>
+inline std::uint64_t lanes_where(const std::uint32_t* count, Pred&& pred) {
+  std::uint64_t bits = 0;
+  for (unsigned l = 0; l < kLanes; ++l) {
+    bits |= static_cast<std::uint64_t>(pred(count[l])) << l;
   }
-  static constexpr Word lane_bit(unsigned lane) { return 1ULL << lane; }
-  static constexpr void set(Word& w, unsigned lane) { w |= 1ULL << lane; }
-  /// Mask of lanes [lo, hi). Both bounds saturate at 64, so an empty
-  /// window at the very end (lo == hi == 64) is a valid empty mask rather
-  /// than a shift-by-width.
-  static constexpr Word range_mask(unsigned lo, unsigned hi) {
-    const Word upto = hi >= 64 ? ~0ULL : (1ULL << hi) - 1;
-    const Word below = lo >= 64 ? ~0ULL : (1ULL << lo) - 1;
-    return upto & ~below;
-  }
-  static constexpr unsigned popcount(Word w) {
-    return static_cast<unsigned>(std::popcount(w));
-  }
-  static constexpr std::uint64_t limb(Word w, unsigned) { return w; }
-  static constexpr void set_limb(Word& w, unsigned, std::uint64_t v) { w = v; }
-  template <typename Fn>
-  static void for_each_lane(Word w, Fn&& fn) {
-    while (w != 0) {
-      fn(static_cast<unsigned>(std::countr_zero(w)));
-      w &= w - 1;
-    }
-  }
-};
-
-template <std::size_t NW>
-struct LaneTraits<WideWord<NW>> {
-  using Word = WideWord<NW>;
-  static constexpr unsigned kLanes = 64 * NW;
-  static constexpr unsigned kLimbs = NW;
-
-  static constexpr Word zero() { return Word{}; }
-  static constexpr Word ones() {
-    Word w{};
-    for (std::size_t g = 0; g < NW; ++g) w.limb[g] = ~0ULL;
-    return w;
-  }
-  static constexpr bool any(const Word& w) {
-    std::uint64_t acc = 0;
-    for (std::size_t g = 0; g < NW; ++g) acc |= w.limb[g];
-    return acc != 0;
-  }
-  static constexpr bool test(const Word& w, unsigned lane) {
-    return (w.limb[lane / 64] >> (lane % 64)) & 1u;
-  }
-  static constexpr Word lane_bit(unsigned lane) {
-    Word w{};
-    w.limb[lane / 64] = 1ULL << (lane % 64);
-    return w;
-  }
-  static constexpr void set(Word& w, unsigned lane) {
-    w.limb[lane / 64] |= 1ULL << (lane % 64);
-  }
-  /// Mask of lanes [lo, hi).
-  static constexpr Word range_mask(unsigned lo, unsigned hi) {
-    Word w{};
-    for (unsigned g = 0; g < NW; ++g) {
-      const unsigned base = g * 64;
-      const unsigned a = lo > base ? lo - base : 0;
-      const unsigned b = hi > base ? hi - base : 0;
-      if (a >= 64 || b == 0) continue;
-      w.limb[g] = LaneTraits<std::uint64_t>::range_mask(a, b > 64 ? 64 : b);
-    }
-    return w;
-  }
-  static constexpr unsigned popcount(const Word& w) {
-    unsigned c = 0;
-    for (std::size_t g = 0; g < NW; ++g) {
-      c += static_cast<unsigned>(std::popcount(w.limb[g]));
-    }
-    return c;
-  }
-  static constexpr std::uint64_t limb(const Word& w, unsigned g) {
-    return w.limb[g];
-  }
-  static constexpr void set_limb(Word& w, unsigned g, std::uint64_t v) {
-    w.limb[g] = v;
-  }
-  template <typename Fn>
-  static void for_each_lane(const Word& w, Fn&& fn) {
-    for (std::size_t g = 0; g < NW; ++g) {
-      std::uint64_t bits = w.limb[g];
-      const unsigned base = static_cast<unsigned>(g) * 64;
-      while (bits != 0) {
-        fn(base + static_cast<unsigned>(std::countr_zero(bits)));
-        bits &= bits - 1;
-      }
-    }
-  }
-};
+  return bits;
+}
 
 /// Lanewise inequality of two d-plane digits: lane l of the result is set
 /// iff lane l's values differ.
-template <typename W>
-inline W digit_neq(const W* a, const W* b, unsigned d) {
-  W neq = LaneTraits<W>::zero();
+inline std::uint64_t digit_neq(const std::uint64_t* a, const std::uint64_t* b,
+                               unsigned d) {
+  std::uint64_t neq = 0;
   for (unsigned bit = 0; bit < d; ++bit) neq |= a[bit] ^ b[bit];
   return neq;
 }
@@ -219,26 +91,24 @@ inline W digit_neq(const W* a, const W* b, unsigned d) {
 /// the +1 overflows the d planes and the all-ones carry word is the only
 /// wrap witness, since K mod 2^d == 0 makes the neq_k compare vacuous for
 /// the overflowed lanes).
-template <typename W>
-inline void digit_inc_mod(const W* x, W* out, unsigned d, std::uint32_t K) {
-  using T = LaneTraits<W>;
-  W carry = T::ones();
+inline void digit_inc_mod(const std::uint64_t* x, std::uint64_t* out,
+                          unsigned d, std::uint32_t K) {
+  std::uint64_t carry = ~0ULL;
   for (unsigned bit = 0; bit < d; ++bit) {
     out[bit] = x[bit] ^ carry;
     carry &= x[bit];
   }
-  W neq_k = T::zero();
+  std::uint64_t neq_k = 0;
   for (unsigned bit = 0; bit < d; ++bit) {
     neq_k |= (K >> bit) & 1u ? ~out[bit] : out[bit];
   }
-  const W wrap = carry | ~neq_k;
+  const std::uint64_t wrap = carry | ~neq_k;
   for (unsigned bit = 0; bit < d; ++bit) out[bit] &= ~wrap;
 }
 
 /// dst = (dst & ~mask) | (src & mask), plane by plane.
-template <typename W>
-inline void digit_copy_masked(W* dst, const W* src, unsigned d,
-                              const W& mask) {
+inline void digit_copy_masked(std::uint64_t* dst, const std::uint64_t* src,
+                              unsigned d, std::uint64_t mask) {
   for (unsigned bit = 0; bit < d; ++bit) {
     dst[bit] = (dst[bit] & ~mask) | (src[bit] & mask);
   }
@@ -247,37 +117,28 @@ inline void digit_copy_masked(W* dst, const W* src, unsigned d,
 /// dst = (dst & ~mask) | (value broadcast & mask): writes one constant
 /// digit into every masked lane. The bulk form the run-decomposed fills
 /// (batch refill, sliced Phase A) use.
-template <typename W>
-inline void digit_fill_masked(W* dst, std::uint32_t value, unsigned d,
-                              const W& mask) {
+inline void digit_fill_masked(std::uint64_t* dst, std::uint32_t value,
+                              unsigned d, std::uint64_t mask) {
   for (unsigned bit = 0; bit < d; ++bit) {
     dst[bit] = (value >> bit) & 1u ? (dst[bit] | mask) : (dst[bit] & ~mask);
   }
 }
 
 /// Writes lane `lane` of a d-plane digit.
-template <typename W>
-inline void digit_set_lane(W* x, unsigned d, unsigned lane,
+inline void digit_set_lane(std::uint64_t* x, unsigned d, unsigned lane,
                            std::uint32_t value) {
-  using T = LaneTraits<W>;
-  const unsigned g = lane / 64;
-  const std::uint64_t bit = 1ULL << (lane % 64);
+  const std::uint64_t bit = 1ULL << lane;
   for (unsigned b = 0; b < d; ++b) {
-    std::uint64_t w = T::limb(x[b], g);
-    w = (value >> b) & 1u ? (w | bit) : (w & ~bit);
-    T::set_limb(x[b], g, w);
+    x[b] = (value >> b) & 1u ? (x[b] | bit) : (x[b] & ~bit);
   }
 }
 
 /// Reads lane `lane` of a d-plane digit.
-template <typename W>
-inline std::uint32_t digit_get_lane(const W* x, unsigned d, unsigned lane) {
-  using T = LaneTraits<W>;
-  const unsigned g = lane / 64;
-  const unsigned b0 = lane % 64;
+inline std::uint32_t digit_get_lane(const std::uint64_t* x, unsigned d,
+                                    unsigned lane) {
   std::uint32_t value = 0;
   for (unsigned b = 0; b < d; ++b) {
-    value |= static_cast<std::uint32_t>((T::limb(x[b], g) >> b0) & 1u) << b;
+    value |= static_cast<std::uint32_t>((x[b] >> lane) & 1u) << b;
   }
   return value;
 }
@@ -287,18 +148,14 @@ inline std::uint32_t digit_get_lane(const W* x, unsigned d, unsigned lane) {
 /// masked command application (P_0 increments its predecessor's value mod
 /// K, everyone else copies it), and the lanewise "legitimate step shape"
 /// predicate over the x-part.
-template <typename W>
-class BasicSlicedDigits {
+class SlicedDigits {
  public:
-  using Word = W;
-  using Traits = LaneTraits<W>;
-
-  BasicSlicedDigits(std::size_t n, std::uint32_t K)
+  SlicedDigits(std::size_t n, std::uint32_t K)
       : n_(n),
         k_(K),
         d_(digit_plane_count(K)),
-        x_(n * d_, Traits::zero()),
-        neq_(n, Traits::zero()) {
+        x_(n * d_, 0),
+        neq_(n, 0) {
     SSR_REQUIRE(n >= 2, "sliced digit ring needs at least two processes");
     // The rolling-save scratch in apply_command/step_shape is sized for
     // kMaxDigitPlanes planes; a u32 modulus can never need more, but keep
@@ -314,7 +171,7 @@ class BasicSlicedDigits {
   std::uint32_t modulus() const { return k_; }
   unsigned digits() const { return d_; }
 
-  const W* digit(std::size_t i) const { return &x_[i * d_]; }
+  const std::uint64_t* digit(std::size_t i) const { return &x_[i * d_]; }
 
   void set_lane(std::size_t i, unsigned lane, std::uint32_t value) {
     SSR_REQUIRE(value < k_, "digit value out of range for modulus K");
@@ -328,14 +185,15 @@ class BasicSlicedDigits {
   /// Writes one constant value into every masked lane of process i's digit
   /// in a single plane pass (the bulk form of set_lane for run-decomposed
   /// fills). Does NOT refresh neq; the caller repairs the dirtied entries.
-  void set_lanes_masked(std::size_t i, const W& mask, std::uint32_t value) {
+  void set_lanes_masked(std::size_t i, std::uint64_t mask,
+                        std::uint32_t value) {
     SSR_REQUIRE(value < k_, "digit value out of range for modulus K");
     digit_fill_masked(&x_[i * d_], value, d_, mask);
   }
 
   /// Lanewise x_i != x_{i-1} (the raw material of G_i). neq(0) compares
   /// against x_{n-1}.
-  const W& neq(std::size_t i) const { return neq_[i]; }
+  std::uint64_t neq(std::size_t i) const { return neq_[i]; }
 
   /// Recomputes neq(i) from the current planes.
   void update_neq(std::size_t i) {
@@ -348,24 +206,24 @@ class BasicSlicedDigits {
   /// old x_{i-1}. Reads are pre-step: a single rolling saved digit carries
   /// each overwritten predecessor to its successor. Does NOT refresh neq;
   /// the caller repairs the dirtied entries.
-  void apply_command(const W* mx) {
-    W saved[kMaxDigitPlanes];
-    W inc[kMaxDigitPlanes];
+  void apply_command(const std::uint64_t* mx) {
+    std::uint64_t saved[kMaxDigitPlanes];
+    std::uint64_t inc[kMaxDigitPlanes];
     bool saved_is_pred = false;  // saved[] holds the pre-step x_{i-1}
     for (std::size_t i = 0; i < n_; ++i) {
-      W* self = &x_[i * d_];
+      std::uint64_t* self = &x_[i * d_];
       // P_{i+1} reads the pre-step x_i; stash it before overwriting. P_0
       // never needs a stash for x_{n-1}: it is processed first, and x_{n-1}
       // is written last.
-      const bool succ_needs_old = i + 1 < n_ && Traits::any(mx[i + 1]);
-      if (Traits::any(mx[i])) {
-        const W* pred = i == 0 ? &x_[(n_ - 1) * d_]
+      const bool succ_needs_old = i + 1 < n_ && mx[i + 1] != 0;
+      if (mx[i] != 0) {
+        const std::uint64_t* pred = i == 0 ? &x_[(n_ - 1) * d_]
                                : (saved_is_pred ? saved : &x_[(i - 1) * d_]);
         if (succ_needs_old) {
           for (unsigned b = 0; b < d_; ++b) inc[b] = self[b];
         }
         if (i == 0) {
-          W bumped[kMaxDigitPlanes];
+          std::uint64_t bumped[kMaxDigitPlanes];
           digit_inc_mod(pred, bumped, d_, k_);
           digit_copy_masked(self, bumped, d_, mx[i]);
         } else {
@@ -391,14 +249,14 @@ class BasicSlicedDigits {
   /// "exactly one guard" this is exactly Dijkstra legitimacy (all equal,
   /// or one +1-step with the token at the unique mismatch / at P_0).
   /// Requires neq to be current.
-  W step_shape(const W& candidates) const {
-    W ok = candidates;
-    W inc[kMaxDigitPlanes];
-    for (std::size_t i = 1; i < n_ && Traits::any(ok); ++i) {
-      const W need = neq_[i] & ok;
-      if (!Traits::any(need)) continue;
+  std::uint64_t step_shape(std::uint64_t candidates) const {
+    std::uint64_t ok = candidates;
+    std::uint64_t inc[kMaxDigitPlanes];
+    for (std::size_t i = 1; i < n_ && ok != 0; ++i) {
+      const std::uint64_t need = neq_[i] & ok;
+      if (need == 0) continue;
       digit_inc_mod(&x_[i * d_], inc, d_, k_);
-      const W bad = digit_neq(&x_[(i - 1) * d_], inc, d_);
+      const std::uint64_t bad = digit_neq(&x_[(i - 1) * d_], inc, d_);
       ok &= ~(need & bad);
     }
     return ok;
@@ -408,11 +266,8 @@ class BasicSlicedDigits {
   std::size_t n_;
   std::uint32_t k_;
   unsigned d_;
-  std::vector<W> x_;    // process-major: x_[i * d_ + bit]
-  std::vector<W> neq_;  // lanewise x_i != x_{i-1}
+  std::vector<std::uint64_t> x_;    // process-major: x_[i * d_ + bit]
+  std::vector<std::uint64_t> neq_;  // lanewise x_i != x_{i-1}
 };
-
-/// The classic 64-lane engine everything scalar-u64 keeps using by name.
-using SlicedDigits = BasicSlicedDigits<std::uint64_t>;
 
 }  // namespace ssr::util

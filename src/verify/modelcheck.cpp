@@ -2,8 +2,10 @@
 
 #include <sstream>
 
+#include "core/ssrmin_sliced.hpp"
+#include "dijkstra/kstate_sliced.hpp"
 #include "verify/checkers.hpp"
-#include "verify/phase_a_dispatch.hpp"
+#include "verify/phase_a_sliced.hpp"
 
 namespace ssr::verify {
 
@@ -30,13 +32,8 @@ std::string CheckStats::summary() const {
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(3);
-  os << "phase_a=";
-  if (phase_a_sliced) {
-    os << "sliced(" << phase_a_backend << "," << phase_a_lanes << ")";
-  } else {
-    os << "scalar";
-  }
-  os << " orbit_size=" << orbit_size
+  os << "phase_a=" << (phase_a_sliced ? "sliced" : "scalar")
+     << " orbit_size=" << orbit_size
      << " phase_b_storage=" << to_string(mode)
      << " projected_peak=" << mib(projected_peak_bytes)
      << " measured_peak=" << mib(measured_peak_bytes)
@@ -76,8 +73,18 @@ ModelChecker<core::SsrMinRing> make_ssrmin_checker(std::size_t n,
   // The kernel evaluates exactly core::is_legitimate / privileged_count
   // bit-parallel, so the sliced Phase A is safe to install here (and only
   // here — custom predicates must keep the scalar sweep).
-  checker.set_phase_a_slices([n, K] {
-    return make_ssrmin_phase_a_slice(n, K, util::detect_lane_backend());
+  checker.set_phase_a_slices([n, K]() -> std::unique_ptr<PhaseASlice> {
+    // Dense digit -> (x, rts, tra) masked fill; the digit layout matches
+    // core::encode_state, which is what the codec enumerates.
+    auto fill = [K](core::SlicedSsrMin& kernel, std::size_t i,
+                    std::uint64_t mask, std::uint32_t digit) {
+      const core::SsrState s = core::decode_state(digit, K);
+      kernel.fill_lanes(i, mask, s.x, s.rts, s.tra);
+    };
+    using Slice = BasicPhaseASlice<core::SlicedSsrMin, decltype(fill)>;
+    const core::SsrMinRing slice_ring(n, K);
+    return std::make_unique<Slice>(core::SlicedSsrMin(slice_ring),
+                                   slice_ring.states_per_process(), fill);
   });
   return checker;
 }
@@ -99,8 +106,14 @@ ModelChecker<dijkstra::KStateRing> make_kstate_checker(std::size_t n,
   ModelChecker<dijkstra::KStateRing> checker(ring, std::move(codec),
                                              std::move(legit),
                                              std::move(privileged));
-  checker.set_phase_a_slices([n, K] {
-    return make_kstate_phase_a_slice(n, K, util::detect_lane_backend());
+  checker.set_phase_a_slices([n, K]() -> std::unique_ptr<PhaseASlice> {
+    auto fill = [](dijkstra::SlicedKState& kernel, std::size_t i,
+                   std::uint64_t mask, std::uint32_t digit) {
+      kernel.fill_lanes(i, mask, digit);
+    };
+    using Slice = BasicPhaseASlice<dijkstra::SlicedKState, decltype(fill)>;
+    return std::make_unique<Slice>(
+        dijkstra::SlicedKState(dijkstra::KStateRing(n, K)), K, fill);
   });
   return checker;
 }

@@ -384,7 +384,8 @@ class ModelChecker {
   void set_phase_a_slices(PhaseASliceFactory factory) {
     phase_a_factory_ = std::move(factory);
   }
-  bool has_phase_a_slices() const { return phase_a_factory_ != nullptr; }
+  /// The installed factory (empty when Phase A runs scalar only).
+  const PhaseASliceFactory& phase_a_slices() const { return phase_a_factory_; }
 
   const ConfigCodec<State>& codec() const { return codec_; }
   const P& protocol() const { return protocol_; }
@@ -700,11 +701,6 @@ CheckReport ModelChecker<P>::run(const CheckOptions& options) const {
       slices.push_back(phase_a_factory_());
     }
     report.stats.phase_a_sliced = true;
-    report.stats.phase_a_backend = slices[0]->backend_name();
-    report.stats.phase_a_lanes = slices[0]->lanes();
-    // Lane windows must tile the chunk grid (chunks are kAlign-aligned).
-    SSR_ASSERT(kAlign % slices[0]->lanes() == 0,
-               "lane count must divide the chunk alignment");
   }
 
   // ---- Phase A1: Lambda membership bitset. Shared across workers (each
@@ -716,16 +712,12 @@ CheckReport ModelChecker<P>::run(const CheckOptions& options) const {
     pool.for_chunks(0, reps, chunk, [&](std::size_t w, std::uint64_t lo,
                                         std::uint64_t hi) {
       PhaseASlice& sl = *slices[w];
-      const std::uint64_t lanes = sl.lanes();
-      std::vector<std::uint64_t> bits((lanes + 63) / 64);
       std::uint64_t count = 0;
-      for (std::uint64_t base = lo; base < hi; base += lanes) {
-        const std::uint64_t cnt = std::min<std::uint64_t>(lanes, hi - base);
-        sl.legit_bits(base, cnt, bits.data());
-        for (std::uint64_t j = 0; j * 64 < cnt; ++j) {
-          legit.set_word(base + j * 64, bits[j]);
-          count += static_cast<std::uint64_t>(std::popcount(bits[j]));
-        }
+      for (std::uint64_t base = lo; base < hi; base += 64) {
+        const std::uint64_t bits =
+            sl.legit_bits(base, std::min<std::uint64_t>(64, hi - base));
+        legit.set_word(base, bits);
+        count += static_cast<std::uint64_t>(std::popcount(bits));
       }
       ws[w].p.legit_count += count;
     });
@@ -755,13 +747,12 @@ CheckReport ModelChecker<P>::run(const CheckOptions& options) const {
                                         std::uint64_t hi) {
       Worker& wk = ws[w];
       PhaseASlice& sl = *slices[w];
-      const std::uint64_t lanes = sl.lanes();
       SliceResult sr;
       sr.deadlock = wk.p.deadlock;
       sr.token = wk.p.token;
       sr.min_priv = wk.p.min_priv;
-      for (std::uint64_t base = lo; base < hi; base += lanes) {
-        sl.sweep(base, std::min<std::uint64_t>(lanes, hi - base), sq, sr);
+      for (std::uint64_t base = lo; base < hi; base += 64) {
+        sl.sweep(base, std::min<std::uint64_t>(64, hi - base), sq, sr);
       }
       wk.p.deadlock = sr.deadlock;
       wk.p.token = sr.token;

@@ -3,13 +3,13 @@
 // The scalar Phase A walks every configuration with a ConfigOdometer and
 // pays one guard sweep plus one std::function legitimacy/privilege call per
 // configuration. The sliced variant instead fills a bit-plane kernel with
-// kLanes *consecutive* configuration codes (lane l of window `base` is
+// 64 *consecutive* configuration codes (lane l of window `base` is
 // configuration base + l), so one kernel pass evaluates guards, legitimacy
-// and privilege for a whole lane word of configurations:
+// and privilege for a whole u64 lane word of configurations:
 //
 //   * A1 (Lambda membership)  — legit_bits() returns the kernel's
-//     legitimacy mask as plain u64 words, which the checker ORs into the
-//     shared TwoLevelBitset (64 configurations per store).
+//     legitimacy mask, which the checker stores into the shared
+//     TwoLevelBitset (64 configurations per store).
 //   * A2 (deadlock / token / closure sweep) — sweep() derives the
 //     deadlocked lanes from the kernel's any-enabled mask, counts
 //     privileged processes per lane with a bit-sliced vertical counter
@@ -21,18 +21,18 @@
 //
 // Filling is run-decomposed: the digit of process i is constant over runs
 // of radix^i consecutive codes, so a window refill is O(n + runs) masked
-// bulk writes (BasicSlicedSsrMin::fill_lanes), not kLanes scalar loads —
-// and a process whose digit pattern is unchanged since the previous window
-// (base mod radix^(i+1) unchanged) is skipped entirely, which keeps the
-// kernel's compute() incremental across consecutive windows.
+// bulk writes (SlicedSsrMin::fill_lanes), not 64 scalar loads —
+// and a process whose lanes already hold the window's pattern (base mod
+// radix^(i+1) unchanged, or one digit across the whole window that the
+// lanes already hold) is skipped entirely, which keeps the kernel's
+// compute() incremental across consecutive windows.
 //
 // The interface is type-erased (PhaseASlice) so ModelChecker::run stays
-// generic; concrete slices are built by verify/phase_a_dispatch.cpp, which
-// picks the widest lane word the CPU supports (u64 / AVX-512) via
-// util::detect_lane_backend. Only the library's own checker factories
-// install a slice: a checker constructed with custom legitimacy or
-// privilege predicates must keep the scalar path, or the sliced sweep
-// would silently answer a different question.
+// generic; the concrete slices are built by the library's own checker
+// factories (verify/modelcheck.cpp), and only those install a slice: a
+// checker constructed with custom legitimacy or privilege predicates must
+// keep the scalar path, or the sliced sweep would silently answer a
+// different question.
 #pragma once
 
 #include <algorithm>
@@ -87,22 +87,16 @@ class PhaseASlice {
  public:
   virtual ~PhaseASlice() = default;
 
-  /// Lane count per window (64 / 512). Always a power of two that
-  /// divides TwoLevelBitset::kBlockBits, so windows never straddle chunk
-  /// boundaries except at the final total tail.
-  virtual unsigned lanes() const = 0;
-  /// Backend label for telemetry ("u64", "avx512").
-  virtual const char* backend_name() const = 0;
-
-  /// Legitimacy of configurations [base, base + count) as u64 words:
-  /// bit l of out[j] is configuration base + 64 j + l. count <= lanes();
-  /// bits at or past count are zero. base must be 64-aligned.
-  virtual void legit_bits(std::uint64_t base, std::uint64_t count,
-                          std::uint64_t* out) = 0;
+  /// Legitimacy of configurations [base, base + count): bit l is
+  /// configuration base + l, bits at or past count are zero. base must be
+  /// 64-aligned, count <= 64 (a window is one lane word, so windows never
+  /// straddle the checker's 64-aligned chunk boundaries).
+  virtual std::uint64_t legit_bits(std::uint64_t base,
+                                   std::uint64_t count) = 0;
 
   /// A2 sweep of configurations [base, base + count): merges deadlock and
   /// token witnesses and the privilege minimum into @p r, and appends
-  /// closure candidates. base must be 64-aligned, count <= lanes().
+  /// closure candidates. base must be 64-aligned, count <= 64.
   virtual void sweep(std::uint64_t base, std::uint64_t count,
                      const SliceQuery& q, SliceResult& r) = 0;
 };
@@ -117,18 +111,13 @@ using PhaseASliceFactory = std::function<std::unique_ptr<PhaseASlice>()>;
 template <typename Kernel, typename Fill>
 class BasicPhaseASlice final : public PhaseASlice {
  public:
-  using W = typename Kernel::Word;
-  using Traits = util::LaneTraits<W>;
-  static constexpr unsigned kLanes = Kernel::kLanes;
-
-  BasicPhaseASlice(Kernel kernel, std::uint64_t radix, Fill fill,
-                   const char* backend)
+  BasicPhaseASlice(Kernel kernel, std::uint64_t radix, Fill fill)
       : kernel_(std::move(kernel)),
         n_(kernel_.size()),
         radix_(radix),
         fill_(std::move(fill)),
-        backend_(backend),
-        cnt_(std::bit_width(n_), Traits::zero()) {
+        cnt_(std::bit_width(n_), 0),
+        held_(n_, kMixed) {
     SSR_REQUIRE(radix_ >= 2, "need at least two states per process");
     // Positional weights radix^0 .. radix^n; the codec already proved
     // radix^n fits u64 for any checkable space.
@@ -143,33 +132,25 @@ class BasicPhaseASlice final : public PhaseASlice {
     weights_.push_back(w);
   }
 
-  unsigned lanes() const override { return kLanes; }
-  const char* backend_name() const override { return backend_; }
-
-  void legit_bits(std::uint64_t base, std::uint64_t count,
-                  std::uint64_t* out) override {
+  std::uint64_t legit_bits(std::uint64_t base, std::uint64_t count) override {
     refill(base);
-    const auto masks = kernel_.legit_masks();
-    const std::uint64_t words = (count + 63) / 64;
-    for (std::uint64_t j = 0; j < words; ++j) {
-      out[j] = Traits::limb(masks.legitimate, static_cast<unsigned>(j));
-    }
     // Tail lanes past count hold the wrapped configurations coded
     // base + l >= total; mask them off.
-    const unsigned tail = static_cast<unsigned>(count & 63);
-    if (tail != 0) out[words - 1] &= (std::uint64_t{1} << tail) - 1;
+    return kernel_.legit_masks().legitimate &
+           util::lane_range_mask(0, static_cast<unsigned>(count));
   }
 
   void sweep(std::uint64_t base, std::uint64_t count, const SliceQuery& q,
              SliceResult& r) override {
     refill(base);
-    const W valid = Traits::range_mask(0, static_cast<unsigned>(count));
-    const W any_en = kernel_.any_enabled_mask();
+    const std::uint64_t valid =
+        util::lane_range_mask(0, static_cast<unsigned>(count));
+    const std::uint64_t any_en = kernel_.any_enabled_mask();
 
     if (q.check_deadlock && base < r.deadlock) {
-      const W dead = valid & ~any_en;
-      if (Traits::any(dead)) {
-        r.deadlock = std::min(r.deadlock, base + first_lane(dead));
+      const std::uint64_t dead = valid & ~any_en;
+      if (dead != 0) {
+        r.deadlock = std::min(r.deadlock, base + std::countr_zero(dead));
       }
     }
 
@@ -177,25 +158,25 @@ class BasicPhaseASlice final : public PhaseASlice {
     r.min_priv = std::min(r.min_priv, min_count(valid));
 
     const auto masks = kernel_.legit_masks();
-    const W legit = masks.legitimate & valid;
-    if (!Traits::any(legit)) return;
+    const std::uint64_t legit = masks.legitimate & valid;
+    if (legit == 0) return;
 
     if (q.check_token && base < r.token) {
-      const W viol = legit & (count_lt(q.min_privileged) |
-                              count_gt(q.max_privileged));
-      if (Traits::any(viol)) {
-        r.token = std::min(r.token, base + first_lane(viol));
+      const std::uint64_t viol =
+          legit & (count_lt(q.min_privileged) | count_gt(q.max_privileged));
+      if (viol != 0) {
+        r.token = std::min(r.token, base + std::countr_zero(viol));
       }
     }
     if (q.check_closure) {
-      Traits::for_each_lane(legit & any_en, [&](unsigned l) {
+      util::for_each_lane(legit & any_en, [&](unsigned l) {
         r.closure_candidates.push_back(base + l);
       });
     }
   }
 
  private:
-  /// Installs configurations base .. base + kLanes - 1 into the lanes.
+  /// Installs configurations base .. base + 63 into the lanes.
   /// Process i's digit is ((base + l) / radix^i) mod radix — constant over
   /// runs of radix^i lanes, and as a function of base + l periodic with
   /// period radix^(i+1), so a process whose residue is unchanged since the
@@ -207,12 +188,18 @@ class BasicPhaseASlice final : public PhaseASlice {
       if (has_prev_ && base % q == prev_ % q) continue;
       const std::uint64_t p = weights_[i];
       auto v = static_cast<std::uint32_t>((base / p) % radix_);
+      // A high process holds one digit across most windows: when the
+      // whole window is that digit and the lanes already hold it, the
+      // process stays clean and compute() skips it and its neighbours.
+      const bool whole = p - base % p >= util::kLanes;
+      if (whole && held_[i] == v) continue;
+      held_[i] = whole ? v : kMixed;
       unsigned l = 0;
-      while (l < kLanes) {
+      while (l < util::kLanes) {
         const std::uint64_t left = p - (base + l) % p;
         const auto run = static_cast<unsigned>(
-            std::min<std::uint64_t>(kLanes - l, left));
-        fill_(kernel_, i, Traits::range_mask(l, l + run), v);
+            std::min<std::uint64_t>(util::kLanes - l, left));
+        fill_(kernel_, i, util::lane_range_mask(l, l + run), v);
         l += run;
         v = v + 1 == radix_ ? 0 : v + 1;
       }
@@ -222,28 +209,15 @@ class BasicPhaseASlice final : public PhaseASlice {
     kernel_.compute();
   }
 
-  /// Lowest set lane of a nonempty word.
-  static std::uint64_t first_lane(const W& w) {
-    for (unsigned g = 0; g < Traits::kLimbs; ++g) {
-      const std::uint64_t bits = Traits::limb(w, g);
-      if (bits != 0) {
-        return g * 64 +
-               static_cast<std::uint64_t>(std::countr_zero(bits));
-      }
-    }
-    SSR_ASSERT(false, "first_lane on an empty word");
-    return 0;
-  }
-
   /// Per-lane privileged-process counts as a vertical (bit-sliced) counter:
   /// cnt_[j] holds bit j of every lane's count. Ripple-carry add of each
   /// privileged plane; bit_width(n) planes suffice since counts <= n.
   void count_privileged() {
-    for (W& c : cnt_) c = Traits::zero();
+    for (std::uint64_t& c : cnt_) c = 0;
     for (std::size_t i = 0; i < n_; ++i) {
-      W carry = kernel_.privileged_plane(i);
-      for (std::size_t j = 0; j < cnt_.size() && Traits::any(carry); ++j) {
-        const W t = cnt_[j] & carry;
+      std::uint64_t carry = kernel_.privileged_plane(i);
+      for (std::size_t j = 0; j < cnt_.size() && carry != 0; ++j) {
+        const std::uint64_t t = cnt_[j] & carry;
         cnt_[j] ^= carry;
         carry = t;
       }
@@ -253,12 +227,12 @@ class BasicPhaseASlice final : public PhaseASlice {
   /// Minimum counter value over the lanes of @p mask (nonempty), found
   /// MSB-first: if any candidate lane has bit j clear, the minimum does
   /// too, and lanes with it set stop being candidates.
-  std::size_t min_count(const W& mask) const {
-    W cand = mask;
+  std::size_t min_count(std::uint64_t mask) const {
+    std::uint64_t cand = mask;
     std::size_t val = 0;
     for (std::size_t j = cnt_.size(); j-- > 0;) {
-      const W low = cand & ~cnt_[j];
-      if (Traits::any(low)) {
+      const std::uint64_t low = cand & ~cnt_[j];
+      if (low != 0) {
         cand = low;
       } else {
         val |= std::size_t{1} << j;
@@ -268,10 +242,10 @@ class BasicPhaseASlice final : public PhaseASlice {
   }
 
   /// Lanes whose counter is < c (bit-sliced magnitude comparison).
-  W count_lt(std::size_t c) const {
-    if ((c >> cnt_.size()) != 0) return Traits::ones();  // every count < c
-    W lt = Traits::zero();
-    W eq = Traits::ones();
+  std::uint64_t count_lt(std::size_t c) const {
+    if ((c >> cnt_.size()) != 0) return ~0ULL;  // every count < c
+    std::uint64_t lt = 0;
+    std::uint64_t eq = ~0ULL;
     for (std::size_t j = cnt_.size(); j-- > 0;) {
       if ((c >> j) & 1) {
         lt |= eq & ~cnt_[j];
@@ -284,10 +258,10 @@ class BasicPhaseASlice final : public PhaseASlice {
   }
 
   /// Lanes whose counter is > c.
-  W count_gt(std::size_t c) const {
-    if ((c >> cnt_.size()) != 0) return Traits::zero();  // no count > c
-    W gt = Traits::zero();
-    W eq = Traits::ones();
+  std::uint64_t count_gt(std::size_t c) const {
+    if ((c >> cnt_.size()) != 0) return 0;  // no count > c
+    std::uint64_t gt = 0;
+    std::uint64_t eq = ~0ULL;
     for (std::size_t j = cnt_.size(); j-- > 0;) {
       if ((c >> j) & 1) {
         eq &= cnt_[j];
@@ -303,9 +277,11 @@ class BasicPhaseASlice final : public PhaseASlice {
   std::size_t n_;
   std::uint64_t radix_;
   Fill fill_;
-  const char* backend_;
-  std::vector<W> cnt_;  ///< vertical privilege counter planes
+  std::vector<std::uint64_t> cnt_;  ///< vertical privilege counter planes
   std::vector<std::uint64_t> weights_;  ///< radix^0 .. radix^n
+  /// The digit every lane of process i holds, or kMixed.
+  static constexpr std::uint32_t kMixed = UINT32_MAX;
+  std::vector<std::uint32_t> held_;
   std::uint64_t prev_ = 0;
   bool has_prev_ = false;
 };

@@ -411,9 +411,7 @@ inline const char* to_string(PhaseBStorage m) {
 /// always holds for the mode actually run.
 struct CheckStats {
   PhaseBStorage mode = PhaseBStorage::kAuto;  ///< mode actually run
-  bool phase_a_sliced = false;       ///< Phase A ran bit-sliced
-  std::string phase_a_backend;       ///< lane backend ("u64"/"avx512")
-  std::uint32_t phase_a_lanes = 0;   ///< configurations per kernel pass
+  bool phase_a_sliced = false;  ///< Phase A ran bit-sliced (64 lanes)
   /// Configurations per counter-shift orbit (K, or 1 without the
   /// quotient). The checker processes one representative per orbit, so
   /// every edge and byte count below describes the representatives, a

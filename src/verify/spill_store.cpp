@@ -35,17 +35,33 @@ void SpillFile::fail(const std::string& what, int err) const {
 void SpillFile::create(const std::string& dir, std::uint64_t projected_bytes) {
   SSR_ASSERT(fd_ < 0, "spill file already open");
   projected_bytes_ = projected_bytes;
-  std::string tmpl = dir + "/ssring-spill-XXXXXX";
-  const int fd = ::mkstemp(tmpl.data());
-  if (fd < 0) {
-    path_ = tmpl;
+  // The file must not outlive the run: the fd keeps the inode alive, and
+  // the kernel reclaims the space the moment the run ends, however it
+  // ends. O_TMPFILE creates it without a name; filesystems without
+  // O_TMPFILE fall back to mkstemp + unlink, which leaves a short window
+  // between the two calls.
+#ifdef O_TMPFILE
+  const int tmp = ::open(dir.c_str(), O_TMPFILE | O_RDWR | O_CLOEXEC, 0600);
+  if (tmp >= 0) {
+    fd_ = tmp;
+    path_ = dir + "/<unnamed>";
+    return;
+  }
+  if (errno != EOPNOTSUPP && errno != EISDIR) {
+    path_ = dir;
     fail("cannot create spill file in tmpdir '" + dir + "'", errno);
   }
-  // Unlink immediately: the fd keeps the inode alive, and the kernel
-  // reclaims the space the moment the run ends, however it ends.
-  ::unlink(tmpl.c_str());
-  fd_ = fd;
+#endif
+  std::string tmpl = dir + "/ssring-spill-XXXXXX";
+  const int fd = ::mkstemp(tmpl.data());
   path_ = tmpl;
+  if (fd < 0) fail("cannot create spill file in tmpdir '" + dir + "'", errno);
+  if (::unlink(tmpl.c_str()) != 0) {
+    const int err = errno;
+    ::close(fd);
+    fail("cannot unlink spill file", err);
+  }
+  fd_ = fd;
 }
 
 void SpillFile::open_path(const std::string& path,

@@ -15,7 +15,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,9 +24,7 @@
 #include "core/ssrmin_sliced.hpp"
 #include "dijkstra/kstate.hpp"
 #include "dijkstra/kstate_sliced.hpp"
-#include "sim/batch_dispatch.hpp"
 #include "sim/sweep.hpp"
-#include "util/lane_backend.hpp"
 #include "stabilizing/daemon.hpp"
 #include "stabilizing/engine.hpp"
 #include "util/bitplane.hpp"
@@ -453,176 +450,18 @@ TEST(BatchEngine, SweepTablesBitIdenticalAcrossWorkerCounts) {
 TEST(PlanBlocks, CoversTrialsContiguously) {
   for (std::uint64_t trials : {1u, 17u, 64u, 65u, 150u, 1000u}) {
     for (std::size_t workers : {1u, 2u, 8u, 32u}) {
-      for (unsigned lanes : {64u, 256u, 512u}) {
-        const auto blocks = plan_blocks(trials, workers, lanes);
-        ASSERT_FALSE(blocks.empty());
-        std::uint64_t expected_first = 0;
-        for (const auto& b : blocks) {
-          EXPECT_EQ(b.first, expected_first);
-          EXPECT_GT(b.count, 0u);
-          expected_first += b.count;
-        }
-        EXPECT_EQ(expected_first, trials);
-        EXPECT_LE(blocks.size(), trials);
+      const auto blocks = plan_blocks(trials, workers);
+      ASSERT_FALSE(blocks.empty());
+      std::uint64_t expected_first = 0;
+      for (const auto& b : blocks) {
+        EXPECT_EQ(b.first, expected_first);
+        EXPECT_GT(b.count, 0u);
+        expected_first += b.count;
       }
+      EXPECT_EQ(expected_first, trials);
+      EXPECT_LE(blocks.size(), trials);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Wide lane words: the 256/512-lane kernels in lockstep with scalar
-// engines. WideWord is portable limb-loop C++, so this TU instantiates
-// them directly (no SIMD flags needed); the flag-compiled TUs contain the
-// very same template instantiations, so trace identity proved here plus
-// outcome identity proved on the dispatch entry points below covers the
-// deployed backends.
-
-template <typename Kernel, typename Ring>
-void expect_wide_lockstep_traces(const Ring& ring,
-                                 const std::string& daemon_name,
-                                 std::uint64_t seed, int max_steps) {
-  using Word = typename Kernel::Word;
-  using Traits = util::LaneTraits<Word>;
-  BatchEngine<Kernel> batch{Kernel(ring), lane_daemon_spec(daemon_name)};
-  std::vector<std::unique_ptr<stab::Engine<Ring>>> scalar(Traits::kLanes);
-  std::vector<std::unique_ptr<stab::Daemon>> daemons(Traits::kLanes);
-  for (unsigned lane = 0; lane < Traits::kLanes; ++lane) {
-    Rng rng = trial_rng(seed, lane);
-    auto config = random_config(ring, rng);
-    const Rng daemon_rng = rng.split();
-    scalar[lane] = std::make_unique<stab::Engine<Ring>>(ring, config);
-    daemons[lane] = stab::make_daemon(daemon_name, daemon_rng);
-    batch.load_lane(lane, config, daemon_rng);
-  }
-  for (int t = 0; t < max_steps; ++t) {
-    batch.refresh();
-    const Word mask = batch.active() & batch.any_enabled();
-    if (!Traits::any(mask)) break;
-    batch.step(mask);
-    Traits::for_each_lane(mask, [&](unsigned lane) {
-      ASSERT_TRUE(scalar[lane]->step_with(*daemons[lane]));
-      ASSERT_EQ(batch.extract_lane(lane), scalar[lane]->config())
-          << daemon_name << " n=" << ring.size() << " lanes="
-          << Traits::kLanes << " lane " << lane << " step " << t;
-      ASSERT_EQ(batch.steps(lane), scalar[lane]->steps());
-      ASSERT_EQ(batch.moves(lane), scalar[lane]->moves());
-    });
-  }
-}
-
-TEST(BatchEngineWide, SsrMinWideLanesMatchScalarTraces) {
-  const core::SsrMinRing ring(5, 6);
-  for (const char* daemon : {"central-random", "distributed-synchronous"}) {
-    expect_wide_lockstep_traces<core::BasicSlicedSsrMin<util::WideWord<4>>>(
-        ring, daemon, 19, 80);
-    expect_wide_lockstep_traces<core::BasicSlicedSsrMin<util::Lane512>>(
-        ring, daemon, 23, 80);
-  }
-  // K = 2^d digit-wrap edge at 256 lanes.
-  expect_wide_lockstep_traces<core::BasicSlicedSsrMin<util::WideWord<4>>>(
-      core::SsrMinRing(7, 8), "distributed-synchronous", 5, 60);
-}
-
-TEST(BatchEngineWide, KStateWideLanesMatchScalarTraces) {
-  expect_wide_lockstep_traces<dijkstra::BasicSlicedKState<util::WideWord<4>>>(
-      dijkstra::KStateRing(5, 6), "central-random", 7, 80);
-  expect_wide_lockstep_traces<dijkstra::BasicSlicedKState<util::Lane512>>(
-      dijkstra::KStateRing(5, 6), "distributed-synchronous", 9, 80);
-}
-
-// ---------------------------------------------------------------------------
-// Runtime dispatch: every backend (including ones the CPU lacks, which
-// must silently degrade) returns byte-identical outcome vectors, and the
-// SSRING_LANE_BACKEND=u64 override pins the guaranteed-portable fallback.
-
-void expect_outcomes_equal(const std::vector<BatchTrialOutcome>& a,
-                           const std::vector<BatchTrialOutcome>& b,
-                           const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t t = 0; t < a.size(); ++t) {
-    EXPECT_EQ(a[t].milestone.reached, b[t].milestone.reached)
-        << what << " trial " << t;
-    EXPECT_EQ(a[t].milestone.deadlocked, b[t].milestone.deadlocked)
-        << what << " trial " << t;
-    EXPECT_EQ(a[t].milestone.steps, b[t].milestone.steps)
-        << what << " trial " << t;
-    EXPECT_EQ(a[t].milestone.moves, b[t].milestone.moves)
-        << what << " trial " << t;
-    EXPECT_EQ(a[t].result.reached, b[t].result.reached)
-        << what << " trial " << t;
-    EXPECT_EQ(a[t].result.deadlocked, b[t].result.deadlocked)
-        << what << " trial " << t;
-    EXPECT_EQ(a[t].result.steps, b[t].result.steps) << what << " trial " << t;
-    EXPECT_EQ(a[t].result.moves, b[t].result.moves) << what << " trial " << t;
-  }
-}
-
-TEST(BatchDispatch, AllBackendsProduceIdenticalOutcomes) {
-  const std::uint64_t trials = 150;
-  {
-    const core::SsrMinRing ring(6, 7);
-    const std::uint64_t budget = 80ULL * 36 + 400;
-    const auto spec = lane_daemon_spec("distributed-random-subset");
-    const auto baseline = run_convergence_block<core::SlicedSsrMin>(
-        ring, spec, 99, BlockRange{0, trials}, budget, /*two_phase=*/true);
-    for (util::LaneBackend backend :
-         {util::LaneBackend::kU64, util::LaneBackend::kAvx512}) {
-      const auto got = run_convergence_block_ssrmin(
-          ring, spec, 99, BlockRange{0, trials}, budget, /*two_phase=*/true,
-          backend);
-      expect_outcomes_equal(baseline, got,
-                            std::string("ssrmin backend ") +
-                                util::lane_backend_name(backend));
-    }
-  }
-  {
-    const dijkstra::KStateRing ring(8, 9);
-    const auto spec = lane_daemon_spec("central-random");
-    const auto baseline = run_convergence_block<dijkstra::SlicedKState>(
-        ring, spec, 55, BlockRange{0, trials}, 2000, /*two_phase=*/false);
-    for (util::LaneBackend backend :
-         {util::LaneBackend::kU64, util::LaneBackend::kAvx512}) {
-      const auto got = run_convergence_block_kstate(
-          ring, spec, 55, BlockRange{0, trials}, 2000, /*two_phase=*/false,
-          backend);
-      expect_outcomes_equal(baseline, got,
-                            std::string("kstate backend ") +
-                                util::lane_backend_name(backend));
-    }
-  }
-}
-
-TEST(BatchDispatch, EnvOverridePinsTheU64Fallback) {
-  // The -march=native deployment hazard: whatever the host CPU offers,
-  // forcing SSRING_LANE_BACKEND=u64 must select the portable 64-lane
-  // path, and that path must reproduce the widest backend's outcomes.
-  ::setenv("SSRING_LANE_BACKEND", "u64", 1);
-  EXPECT_EQ(util::detect_lane_backend(), util::LaneBackend::kU64);
-  const core::SsrMinRing ring(5, 6);
-  const auto spec = lane_daemon_spec("central-random");
-  const auto forced = run_convergence_block_ssrmin(
-      ring, spec, 42, BlockRange{0, 100}, 3000, /*two_phase=*/true,
-      util::detect_lane_backend());
-  ::unsetenv("SSRING_LANE_BACKEND");
-  const auto widest = run_convergence_block_ssrmin(
-      ring, spec, 42, BlockRange{0, 100}, 3000, /*two_phase=*/true,
-      util::detect_lane_backend());
-  expect_outcomes_equal(forced, widest, "forced-u64 vs auto");
-  // The auto answer is always a usable backend; u64 is always available.
-  EXPECT_TRUE(util::lane_backend_available(util::LaneBackend::kU64));
-  EXPECT_TRUE(util::lane_backend_available(util::detect_lane_backend()));
-  EXPECT_EQ(util::lane_backend_lanes(util::LaneBackend::kU64), 64u);
-  EXPECT_EQ(std::string(util::lane_backend_name(util::LaneBackend::kU64)),
-            "u64");
-}
-
-TEST(BatchDispatch, Avx2RequestDegradesToU64) {
-  // There is no 256-lane backend: a request for one takes the best backend
-  // at or below that width, which is u64 even on an AVX-512 host.
-  ::setenv("SSRING_LANE_BACKEND", "avx2", 1);
-  const util::LaneBackend got = util::detect_lane_backend();
-  ::unsetenv("SSRING_LANE_BACKEND");
-  EXPECT_EQ(got, util::LaneBackend::kU64);
 }
 
 }  // namespace

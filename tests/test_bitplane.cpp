@@ -18,11 +18,6 @@
 //    every lane exercises every shape, differentially against a scalar
 //    model of C_i.
 //
-// Everything is templated on the lane word and run at 64 (u64), 256
-// (WideWord<4>) and 512 (WideWord<8>) lanes — WideWord is portable
-// limb-loop C++, so this TU instantiates the wide forms directly without
-// any SIMD flags; the dispatch-level backend selection is covered in
-// test_batch_engine.cpp.
 #include "util/bitplane.hpp"
 
 #include <gtest/gtest.h>
@@ -102,42 +97,6 @@ TEST(DigitIncMod, U32ExtremesStayExact) {
   }
 }
 
-template <typename W>
-void expect_wide_inc_matches_u64(std::uint64_t seed) {
-  using T = LaneTraits<W>;
-  Rng rng(seed);
-  for (std::uint32_t K : {2u, 3u, 4u, 7u, 8u, 1000u, 1024u}) {
-    const unsigned d = digit_plane_count(K);
-    std::vector<std::uint64_t> nx(d), nout(d);
-    std::vector<W> wx(d, T::zero()), wout(d, T::zero());
-    // Each 64-lane limb group carries an independent random u64 problem.
-    for (unsigned g = 0; g < T::kLimbs; ++g) {
-      for (unsigned l = 0; l < 64; ++l) {
-        digit_set_lane(nx.data(), d, l,
-                       static_cast<std::uint32_t>(rng() % K));
-      }
-      digit_inc_mod(nx.data(), nout.data(), d, K);
-      for (unsigned b = 0; b < d; ++b) T::set_limb(wx[b], g, nx[b]);
-      for (unsigned l = 0; l < 64; ++l) {
-        ASSERT_EQ(digit_get_lane(wx.data(), d, g * 64 + l),
-                  digit_get_lane(nx.data(), d, l));
-      }
-      // Stash the u64 answer in the output word's limb for comparison.
-      for (unsigned b = 0; b < d; ++b) T::set_limb(wout[b], g, nout[b]);
-    }
-    const std::vector<W> expected = wout;
-    digit_inc_mod(wx.data(), wout.data(), d, K);
-    for (unsigned b = 0; b < d; ++b) {
-      ASSERT_EQ(wout[b], expected[b]) << "K=" << K << " plane " << b;
-    }
-  }
-}
-
-TEST(DigitIncMod, WideWordsMatchU64LimbForLimb) {
-  expect_wide_inc_matches_u64<WideWord<4>>(21);
-  expect_wide_inc_matches_u64<Lane512>(22);
-}
-
 // ---------------------------------------------------------------------------
 // apply_command: rolling-save differential against a scalar model of C_i.
 
@@ -156,17 +115,15 @@ std::vector<std::uint32_t> scalar_command(const std::vector<std::uint32_t>& x,
   return out;
 }
 
-template <typename W>
 void expect_apply_matches_scalar(std::size_t n, std::uint32_t K,
                                  std::uint64_t seed) {
-  using T = LaneTraits<W>;
   const std::uint32_t subsets = 1u << n;
-  ASSERT_LE(subsets, T::kLanes);
-  BasicSlicedDigits<W> digits(n, K);
+  ASSERT_LE(subsets, kLanes);
+  SlicedDigits digits(n, K);
   Rng rng(seed);
-  std::vector<std::vector<std::uint32_t>> lane(T::kLanes,
+  std::vector<std::vector<std::uint32_t>> lane(kLanes,
                                                std::vector<std::uint32_t>(n));
-  for (unsigned l = 0; l < T::kLanes; ++l) {
+  for (unsigned l = 0; l < kLanes; ++l) {
     for (std::size_t i = 0; i < n; ++i) {
       lane[l][i] = static_cast<std::uint32_t>(rng() % K);
       digits.set_lane(i, l, lane[l][i]);
@@ -177,23 +134,23 @@ void expect_apply_matches_scalar(std::size_t n, std::uint32_t K,
   // selection shape (including the empty one) in every lane position, so
   // each rolling-save interleaving meets each lane alignment.
   for (std::uint32_t round = 0; round < subsets; ++round) {
-    std::vector<W> mx(n, T::zero());
-    for (unsigned l = 0; l < T::kLanes; ++l) {
+    std::vector<std::uint64_t> mx(n, 0);
+    for (unsigned l = 0; l < kLanes; ++l) {
       const std::uint32_t subset = (l + round) % subsets;
       for (std::size_t i = 0; i < n; ++i) {
-        if ((subset >> i) & 1u) T::set(mx[i], l);
+        if ((subset >> i) & 1u) mx[i] |= 1ULL << l;
       }
       lane[l] = scalar_command(lane[l], subset, K);
     }
     digits.apply_command(mx.data());
     for (std::size_t i = 0; i < n; ++i) digits.update_neq(i);
-    for (unsigned l = 0; l < T::kLanes; ++l) {
+    for (unsigned l = 0; l < kLanes; ++l) {
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(digits.get_lane(i, l), lane[l][i])
             << "n=" << n << " K=" << K << " round=" << round << " lane=" << l
             << " i=" << i;
         const std::size_t p = i == 0 ? n - 1 : i - 1;
-        ASSERT_EQ(T::test(digits.neq(i), l) ? 1u : 0u,
+        ASSERT_EQ((digits.neq(i) >> l) & 1u,
                   lane[l][i] != lane[l][p] ? 1u : 0u)
             << "n=" << n << " K=" << K << " round=" << round << " lane=" << l
             << " i=" << i;
@@ -208,22 +165,15 @@ TEST(SlicedDigitsApply, RollingSaveMatchesScalarAtN2AndN3) {
   // skip-then-save resync. K covers power-of-two wrap and odd moduli.
   for (std::size_t n : {2u, 3u}) {
     for (std::uint32_t K : {3u, 4u, 5u, 6u, 7u, 8u}) {
-      expect_apply_matches_scalar<std::uint64_t>(n, K, 100 * n + K);
+      expect_apply_matches_scalar(n, K, 100 * n + K);
     }
   }
 }
 
 TEST(SlicedDigitsApply, RollingSaveMatchesScalarAtWiderRings) {
   for (std::size_t n : {4u, 6u}) {
-    expect_apply_matches_scalar<std::uint64_t>(n, n + 1, 500 + n);
+    expect_apply_matches_scalar(n, n + 1, 500 + n);
   }
-}
-
-TEST(SlicedDigitsApply, WideWordsMatchScalarModel) {
-  expect_apply_matches_scalar<WideWord<4>>(3, 4, 31);
-  expect_apply_matches_scalar<WideWord<4>>(2, 8, 32);
-  expect_apply_matches_scalar<Lane512>(3, 4, 33);
-  expect_apply_matches_scalar<Lane512>(2, 8, 34);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,147 +205,67 @@ TEST(SlicedDigits, U32ExtremesFitTheScratchBound) {
 }
 
 // ---------------------------------------------------------------------------
-// LaneTraits / WideWord surface.
+// Lane helpers.
 
-template <typename W>
-void expect_traits_consistent() {
-  using T = LaneTraits<W>;
-  EXPECT_EQ(T::kLanes, 64u * T::kLimbs);
-  EXPECT_FALSE(T::any(T::zero()));
-  EXPECT_TRUE(T::any(T::ones()));
-  EXPECT_EQ(T::popcount(T::zero()), 0u);
-  EXPECT_EQ(T::popcount(T::ones()), T::kLanes);
-  for (unsigned lane : {0u, 1u, 63u, T::kLanes / 2, T::kLanes - 1}) {
-    const W bit = T::lane_bit(lane);
-    EXPECT_EQ(T::popcount(bit), 1u);
-    EXPECT_TRUE(T::test(bit, lane));
-    W w = T::zero();
-    T::set(w, lane);
-    EXPECT_EQ(w, bit);
-  }
-  // range_mask: every (lo, hi) shape against the per-lane definition,
-  // including empty, full, limb-straddling and hi-past-the-end windows.
-  const unsigned probes[] = {0,
-                             1,
-                             5,
-                             63,
-                             64,
-                             T::kLanes / 2,
-                             T::kLanes - 1,
-                             T::kLanes,
-                             T::kLanes + 7};
+TEST(LaneHelpers, RangeMaskAndLaneWalkMatchPerLaneDefinition) {
+  // lane_range_mask: every (lo, hi) shape against the per-lane definition,
+  // including empty, full and hi-at-the-end windows.
+  const unsigned probes[] = {0, 1, 5, 31, 32, 63, 64};
   for (unsigned lo : probes) {
-    if (lo > T::kLanes) continue;
     for (unsigned hi : probes) {
       if (hi < lo) continue;
-      const W m = T::range_mask(lo, std::min(hi, T::kLanes));
-      for (unsigned lane = 0; lane < T::kLanes; ++lane) {
-        ASSERT_EQ(T::test(m, lane), lane >= lo && lane < hi)
+      const std::uint64_t m = lane_range_mask(lo, hi);
+      for (unsigned lane = 0; lane < kLanes; ++lane) {
+        ASSERT_EQ((m >> lane) & 1u, lane >= lo && lane < hi ? 1u : 0u)
             << "lo=" << lo << " hi=" << hi << " lane=" << lane;
       }
     }
   }
   // for_each_lane visits exactly the set lanes, in ascending order.
-  W w = T::zero();
-  const std::vector<unsigned> want = {0, 3, 63, T::kLanes - 1};
-  for (unsigned lane : want) T::set(w, lane);
   std::vector<unsigned> got;
-  T::for_each_lane(w, [&](unsigned lane) { got.push_back(lane); });
-  std::vector<unsigned> expected(want.begin(), want.end());
-  std::sort(expected.begin(), expected.end());
-  expected.erase(std::unique(expected.begin(), expected.end()),
-                 expected.end());
-  EXPECT_EQ(got, expected);
-  // limb round trip.
-  W v = T::zero();
-  for (unsigned g = 0; g < T::kLimbs; ++g) {
-    T::set_limb(v, g, 0x0123456789ABCDEFULL * (g + 1));
-  }
-  for (unsigned g = 0; g < T::kLimbs; ++g) {
-    EXPECT_EQ(T::limb(v, g), 0x0123456789ABCDEFULL * (g + 1));
-  }
+  for_each_lane((1ULL << 63) | (1ULL << 3) | 1ULL,
+                [&](unsigned lane) { got.push_back(lane); });
+  EXPECT_EQ(got, (std::vector<unsigned>{0, 3, 63}));
+  for_each_lane(0, [&](unsigned) { ADD_FAILURE() << "empty word visited"; });
+  // lanes_where turns per-lane counts back into a lane word.
+  std::uint32_t count[kLanes] = {};
+  count[2] = 1;
+  count[40] = 3;
+  count[63] = 1;
+  EXPECT_EQ(lanes_where(count, [](std::uint32_t c) { return c == 1; }),
+            (1ULL << 2) | (1ULL << 63));
+  EXPECT_EQ(lanes_where(count, [](std::uint32_t c) { return c != 0; }),
+            (1ULL << 2) | (1ULL << 40) | (1ULL << 63));
 }
 
-TEST(LaneTraits, U64SurfaceIsConsistent) {
-  expect_traits_consistent<std::uint64_t>();
-}
-TEST(LaneTraits, FourLimbWideWordSurfaceIsConsistent) {
-  expect_traits_consistent<WideWord<4>>();
-}
-TEST(LaneTraits, Lane512SurfaceIsConsistent) {
-  expect_traits_consistent<Lane512>();
-}
-
-template <typename W>
-void expect_bitwise_ops_match_limbwise(std::uint64_t seed) {
-  using T = LaneTraits<W>;
-  Rng rng(seed);
-  W a = T::zero(), b = T::zero();
-  for (unsigned g = 0; g < T::kLimbs; ++g) {
-    T::set_limb(a, g, rng());
-    T::set_limb(b, g, rng());
-  }
-  const W and_w = a & b, or_w = a | b, xor_w = a ^ b, not_w = ~a;
-  for (unsigned g = 0; g < T::kLimbs; ++g) {
-    EXPECT_EQ(T::limb(and_w, g), T::limb(a, g) & T::limb(b, g));
-    EXPECT_EQ(T::limb(or_w, g), T::limb(a, g) | T::limb(b, g));
-    EXPECT_EQ(T::limb(xor_w, g), T::limb(a, g) ^ T::limb(b, g));
-    EXPECT_EQ(T::limb(not_w, g), ~T::limb(a, g));
-  }
-  W c = a;
-  c &= b;
-  EXPECT_EQ(c, and_w);
-  c = a;
-  c |= b;
-  EXPECT_EQ(c, or_w);
-  c = a;
-  c ^= b;
-  EXPECT_EQ(c, xor_w);
-}
-
-TEST(WideWord, OperatorsMatchLimbwiseU64) {
-  expect_bitwise_ops_match_limbwise<WideWord<4>>(41);
-  expect_bitwise_ops_match_limbwise<Lane512>(42);
-}
-
-template <typename W>
-void expect_masked_helpers_match_perlane(std::uint64_t seed) {
-  using T = LaneTraits<W>;
-  Rng rng(seed);
+TEST(BitplaneHelpers, MaskedOpsMatchPerLaneModel) {
+  Rng rng(51);
   const std::uint32_t K = 11;
   const unsigned d = digit_plane_count(K);
-  std::vector<W> dst(d, T::zero()), src(d, T::zero());
-  std::vector<std::uint32_t> dv(T::kLanes), sv(T::kLanes);
-  for (unsigned l = 0; l < T::kLanes; ++l) {
+  std::vector<std::uint64_t> dst(d, 0), src(d, 0);
+  std::vector<std::uint32_t> dv(kLanes), sv(kLanes);
+  for (unsigned l = 0; l < kLanes; ++l) {
     dv[l] = static_cast<std::uint32_t>(rng() % K);
     sv[l] = static_cast<std::uint32_t>(rng() % K);
     digit_set_lane(dst.data(), d, l, dv[l]);
     digit_set_lane(src.data(), d, l, sv[l]);
   }
-  const W neq = digit_neq(dst.data(), src.data(), d);
-  for (unsigned l = 0; l < T::kLanes; ++l) {
-    ASSERT_EQ(T::test(neq, l), dv[l] != sv[l]) << "lane " << l;
+  const std::uint64_t neq = digit_neq(dst.data(), src.data(), d);
+  for (unsigned l = 0; l < kLanes; ++l) {
+    ASSERT_EQ(((neq >> l) & 1u) != 0, dv[l] != sv[l]) << "lane " << l;
   }
-  W mask = T::zero();
-  for (unsigned g = 0; g < T::kLimbs; ++g) T::set_limb(mask, g, rng());
+  const std::uint64_t mask = rng();
+  const auto masked = [mask](unsigned l) { return ((mask >> l) & 1u) != 0; };
   digit_copy_masked(dst.data(), src.data(), d, mask);
-  for (unsigned l = 0; l < T::kLanes; ++l) {
-    ASSERT_EQ(digit_get_lane(dst.data(), d, l),
-              T::test(mask, l) ? sv[l] : dv[l])
+  for (unsigned l = 0; l < kLanes; ++l) {
+    ASSERT_EQ(digit_get_lane(dst.data(), d, l), masked(l) ? sv[l] : dv[l])
         << "lane " << l;
   }
   digit_fill_masked(dst.data(), 7, d, mask);
-  for (unsigned l = 0; l < T::kLanes; ++l) {
-    ASSERT_EQ(digit_get_lane(dst.data(), d, l),
-              T::test(mask, l) ? 7u : dv[l])
+  for (unsigned l = 0; l < kLanes; ++l) {
+    ASSERT_EQ(digit_get_lane(dst.data(), d, l), masked(l) ? 7u : dv[l])
         << "lane " << l;
   }
-}
-
-TEST(BitplaneHelpers, MaskedOpsMatchPerLaneModel) {
-  expect_masked_helpers_match_perlane<std::uint64_t>(51);
-  expect_masked_helpers_match_perlane<WideWord<4>>(52);
-  expect_masked_helpers_match_perlane<Lane512>(53);
 }
 
 }  // namespace

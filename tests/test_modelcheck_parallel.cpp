@@ -193,7 +193,7 @@ void expect_matches_reference(const Reference& ref,
 template <typename Checker>
 void check_invariance(const Checker& checker, verify::CheckOptions options,
                       const char* what) {
-  ASSERT_TRUE(checker.has_phase_a_slices()) << what;
+  ASSERT_TRUE(checker.phase_a_slices() != nullptr) << what;
   const Reference ref = reference_heights(checker);
   ASSERT_TRUE(ref.convergence_holds) << what;
   options.keep_heights = true;
@@ -219,8 +219,9 @@ void check_invariance(const Checker& checker, verify::CheckOptions options,
       expect_matches_reference(ref, got, label);
       EXPECT_EQ(got.stats.mode, storage) << label;
       EXPECT_TRUE(got.stats.phase_a_sliced) << label;
-      EXPECT_GE(got.stats.phase_a_lanes, 64u) << label;
-      EXPECT_FALSE(got.stats.phase_a_backend.empty()) << label;
+      EXPECT_NE(got.stats.summary().find("phase_a=sliced "),
+                std::string::npos)
+          << label;
       if (storage == verify::PhaseBStorage::kSpill) {
         EXPECT_GT(got.stats.spill_bytes, 0u) << label;
         EXPECT_GT(got.stats.blocks_read, 0u) << label;

@@ -308,12 +308,28 @@ TEST(SpillStore, EnospcMidWriteSurfacesAsRequireError) {
 }
 
 #if defined(__linux__)
+TEST(SpillStore, CreatedFileHasNoNameInTheTmpdir) {
+  std::string dir = testing::TempDir() + "/ssring-create-XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  {
+    verify::SpillFile file;
+    file.create(dir, 64);
+    EXPECT_TRUE(std::filesystem::is_empty(dir)) << dir;
+    const std::uint8_t block[64] = {7};
+    file.write_at(0, block, sizeof block);
+    EXPECT_TRUE(std::filesystem::is_empty(dir)) << dir;
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << dir;
+  std::filesystem::remove_all(dir);
+}
+
 TEST(SpillStore, SigintMidRunLeavesNoFile) {
   // An interrupted spill check must leave nothing behind: the record file
-  // is unlinked at creation. A forked child runs a kSpill check into a
-  // fresh directory; SIGINT is sent only once the child's descriptor
-  // table shows the spill file already unlinked, so it always lands
-  // mid-run and after create() has finished.
+  // has no name once create() returns. A forked child runs a kSpill check
+  // into a fresh directory; SIGINT is sent only once the child's
+  // descriptor table shows a deleted file in that directory (an O_TMPFILE
+  // inode or the unlinked mkstemp fallback), so it always lands mid-run
+  // and after create() has finished.
   std::string dir = testing::TempDir() + "/ssring-sigint-XXXXXX";
   ASSERT_NE(::mkdtemp(dir.data()), nullptr);
   const pid_t pid = ::fork();
@@ -331,8 +347,7 @@ TEST(SpillStore, SigintMidRunLeavesNoFile) {
     ::_exit(0);
   }
   const std::string fds = "/proc/" + std::to_string(pid) + "/fd";
-  const std::string prefix =
-      std::filesystem::canonical(dir).string() + "/ssring-spill-";
+  const std::string prefix = std::filesystem::canonical(dir).string() + "/";
   bool open_file = false;
   int status = 0;
   bool exited = false;

@@ -17,10 +17,8 @@
 #include <utility>
 #include <vector>
 
-#include "util/lane_backend.hpp"
 #include "verify/adversary.hpp"
 #include "verify/checkers.hpp"
-#include "verify/phase_a_dispatch.hpp"
 
 namespace {
 
@@ -108,11 +106,10 @@ TEST(Symmetry, CodecRejectsAShiftThatDoesNotTileTheDigit) {
 // --- quotient on vs off ----------------------------------------------------
 
 /// The same protocol, predicates and Phase A engine as @p base, built with
-/// a shift-free codec: the quotient switched off. Pass a null factory to
-/// keep the scalar Phase A.
+/// a shift-free codec: the quotient switched off. The sliced Phase A takes
+/// configuration codes, not orbits, so @p base's slices serve both.
 template <typename P>
-verify::ModelChecker<P> shift_free(const verify::ModelChecker<P>& base,
-                                   verify::PhaseASliceFactory slices) {
+verify::ModelChecker<P> shift_free(const verify::ModelChecker<P>& base) {
   using State = typename P::State;
   const auto codec = base.codec();
   verify::ConfigCodec<State> plain(
@@ -124,7 +121,7 @@ verify::ModelChecker<P> shift_free(const verify::ModelChecker<P>& base,
       base.protocol(), std::move(plain),
       [keep](const auto& c) { return keep->legitimate(c); },
       [keep](const auto& c) { return keep->privileged(c); });
-  if (slices) out.set_phase_a_slices(std::move(slices));
+  if (base.phase_a_slices()) out.set_phase_a_slices(base.phase_a_slices());
   return out;
 }
 
@@ -173,7 +170,7 @@ void expect_quotient_invisible(const verify::ModelChecker<P>& on,
   EXPECT_EQ(baseline.stats.orbit_size, 1u) << what;
   EXPECT_EQ(baseline.heights.orbit_size(), 1u) << what;
   std::vector<verify::PhaseAMode> engines = {verify::PhaseAMode::kScalar};
-  if (on.has_phase_a_slices()) engines.push_back(verify::PhaseAMode::kSliced);
+  if (on.phase_a_slices()) engines.push_back(verify::PhaseAMode::kSliced);
   for (verify::PhaseAMode engine : engines) {
     options.phase_a = engine;
     for (verify::PhaseBStorage storage : {verify::PhaseBStorage::kCompressed,
@@ -203,27 +200,13 @@ void expect_quotient_invisible(const verify::ModelChecker<P>& on,
   }
 }
 
-verify::PhaseASliceFactory ssrmin_slices(std::size_t n, std::uint32_t K) {
-  return [n, K] {
-    return verify::make_ssrmin_phase_a_slice(n, K,
-                                             util::detect_lane_backend());
-  };
-}
-
-verify::PhaseASliceFactory kstate_slices(std::size_t n, std::uint32_t K) {
-  return [n, K] {
-    return verify::make_kstate_phase_a_slice(n, K,
-                                             util::detect_lane_backend());
-  };
-}
-
 TEST(QuotientIdentity, SsrMinReportsMatchTheFullSpace) {
   const verify::CheckOptions options;  // privileged in [1, 2]
   for (auto [n, K] : {std::pair<std::size_t, std::uint32_t>{3, 4},
                       {3, 6},
                       {4, 5}}) {
     const auto on = verify::make_ssrmin_checker(n, K);
-    const auto off = shift_free(on, ssrmin_slices(n, K));
+    const auto off = shift_free(on);
     expect_quotient_invisible(on, off, options,
                               "ssrmin(" + std::to_string(n) + "," +
                                   std::to_string(K) + ")");
@@ -239,7 +222,7 @@ TEST(QuotientIdentity, DijkstraReportsMatchTheFullSpace) {
                       {5, 5},
                       {5, 6}}) {
     const auto on = verify::make_kstate_checker(n, K);
-    const auto off = shift_free(on, kstate_slices(n, K));
+    const auto off = shift_free(on);
     expect_quotient_invisible(on, off, options,
                               "dijkstra(" + std::to_string(n) + "," +
                                   std::to_string(K) + ")");
@@ -257,7 +240,7 @@ TEST(QuotientIdentity, FailingPropertiesKeepTheirLowestWitnesses) {
   const auto ssr = verify::make_ssrmin_checker(3, 5);
   const verify::CheckReport tokens = ssr.run(one_token);
   EXPECT_FALSE(tokens.token_bounds_hold);
-  expect_quotient_invisible(ssr, shift_free(ssr, ssrmin_slices(3, 5)),
+  expect_quotient_invisible(ssr, shift_free(ssr),
                             one_token, "ssrmin(3,5) max_privileged=1");
 
   const dijkstra::KStateRing ring(4, 5);
@@ -279,7 +262,7 @@ TEST(QuotientIdentity, FailingPropertiesKeepTheirLowestWitnesses) {
   const verify::CheckReport closure = narrow.run(dij);
   EXPECT_FALSE(closure.closure_holds);
   EXPECT_TRUE(closure.closure_witness.has_value());
-  expect_quotient_invisible(narrow, shift_free(narrow, nullptr), dij,
+  expect_quotient_invisible(narrow, shift_free(narrow), dij,
                             "dijkstra(4,5) token-at-0 Lambda");
 }
 

@@ -33,36 +33,6 @@ def truthy_cell(value) -> bool:
     return isinstance(value, str) and value.lower() in {"yes", "true", "1", "on"}
 
 
-def check_backend_rows(name: str, doc, problems: list[str]) -> None:
-    """Any trajectory produced by a lane-dispatched engine must say which
-    backend ran: every row carries ``backend`` (u64/avx512, or
-    ``scalar`` for non-sliced rows) and ``lanes``, and at least one row
-    ran a bit-sliced backend (lanes >= 64 — the u64 fallback exists on
-    every host, so this never depends on SIMD hardware). A rerun that
-    dropped the columns or silently fell back to all-scalar fails CI
-    here instead of shipping a trajectory that no longer measures the
-    sliced engines."""
-    if not isinstance(doc, list):
-        problems.append(f"{name}: expected a row list to check backend coverage")
-        return
-    missing = [i for i, row in enumerate(doc)
-               if not isinstance(row, dict)
-               or "backend" not in row or "lanes" not in row]
-    if missing:
-        problems.append(
-            f"{name}: rows {missing[:5]} lack the 'backend'/'lanes' columns")
-        return
-    def lane_count(row):
-        try:
-            return int(row["lanes"])
-        except (TypeError, ValueError):
-            return 0
-    if not any(lane_count(row) >= 64 for row in doc):
-        problems.append(
-            f"{name}: no row ran a bit-sliced backend (lanes >= 64); "
-            "regenerate without forcing the scalar engines")
-
-
 def check_batched_rows(name: str, doc, problems: list[str]) -> None:
     """BENCH_convergence.json must record the bit-sliced engine: every row
     carries a ``batched`` key and at least one row ran batched. A rerun
@@ -197,12 +167,10 @@ def main() -> int:
         if name == "BENCH_convergence.json":
             before = len(problems)
             check_batched_rows(name, doc, problems)
-            check_backend_rows(name, doc, problems)
             if len(problems) > before:
                 continue
         if name == "BENCH_modelcheck.json":
             before = len(problems)
-            check_backend_rows(name, doc, problems)
             check_spill_rows(name, doc, problems)
             if len(problems) > before:
                 continue

@@ -9,9 +9,8 @@
 //       Convergence-step statistics from random initial configurations.
 //       Trials fan out over W workers (0 = hardware); the table is
 //       identical at every worker count. --batched (default on) runs
-//       64 or 512 bit-sliced trials per lane word (widest backend the CPU
-//       supports; override with SSRING_LANE_BACKEND) when the daemon has a
-//       lane replay — same table, less wall time.
+//       64 bit-sliced trials per u64 lane word when the daemon has a lane
+//       replay — same table, less wall time.
 //
 //   ssring check     [--n N] [--k K] [--threads T] [--mode M] [--tmpdir D]
 //       Exhaustive model check (small n): lemmas 1/2/4/6 + exact worst
@@ -66,13 +65,16 @@
 //       Alias for `run-multi --rings 1 --transport udp --start legit`:
 //       one SSRmin ring over loopback UDP with CRC-framed wire messages;
 //       faults come from --fault-plan (e.g. "corrupt=0.2;drop=0.1").
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/legitimacy.hpp"
@@ -90,7 +92,6 @@
 #include "sim/batch_dispatch.hpp"
 #include "sim/batch_engine.hpp"
 #include "sim/sweep.hpp"
-#include "util/lane_backend.hpp"
 #include "stabilizing/daemon.hpp"
 #include "stabilizing/engine.hpp"
 #include "stabilizing/trace.hpp"
@@ -119,26 +120,68 @@ bool has_flag(int argc, char** argv, const char* key) {
   return false;
 }
 
-std::size_t arg_n(int argc, char** argv, const char* fallback = "5") {
-  return static_cast<std::size_t>(std::atoi(value_of(argc, argv, "--n", fallback)));
+/// A malformed command-line value: main() prints it and exits with 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The value of a numeric flag, parsed strictly: decimal digits only (no
+/// sign, blank or trailing junk) and within [lo, hi]. Anything else throws
+/// a UsageError naming the flag. An absent flag yields `fallback`.
+std::uint64_t uint_flag(int argc, char** argv, const char* key,
+                        std::uint64_t fallback, std::uint64_t lo,
+                        std::uint64_t hi) {
+  const char* text = value_of(argc, argv, key, nullptr);
+  if (text == nullptr) return fallback;
+  const char* end = text + std::strlen(text);
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (text == end || ptr != end || ec != std::errc{} || value < lo ||
+      value > hi) {
+    throw UsageError(std::string(key) + " expects an integer in [" +
+                     std::to_string(lo) + ", " + std::to_string(hi) +
+                     "], got '" + text + "'");
+  }
+  return value;
+}
+
+/// Ring sizes, trial counts and step counts stay far below the points
+/// where sizes or block plans would overflow.
+constexpr std::uint64_t kMaxCount = 100'000'000;
+/// Worker counts (0 = one per hardware thread).
+constexpr std::uint64_t kMaxWorkers = 1024;
+
+std::size_t arg_n(int argc, char** argv, std::uint64_t fallback = 5) {
+  return static_cast<std::size_t>(
+      uint_flag(argc, argv, "--n", fallback, 1, kMaxCount));
+}
+
+/// --k, or 0 when absent or 0 (the caller's default modulus).
+std::uint32_t arg_k_or_zero(int argc, char** argv) {
+  return static_cast<std::uint32_t>(
+      uint_flag(argc, argv, "--k", 0, 0, UINT32_MAX));
 }
 
 std::uint32_t arg_k(int argc, char** argv, std::size_t n) {
-  const int k = std::atoi(value_of(argc, argv, "--k", "0"));
-  return k > 0 ? static_cast<std::uint32_t>(k)
-               : static_cast<std::uint32_t>(n + 1);
+  const std::uint32_t k = arg_k_or_zero(argc, argv);
+  return k > 0 ? k : static_cast<std::uint32_t>(n + 1);
 }
 
 std::uint64_t arg_seed(int argc, char** argv) {
-  return static_cast<std::uint64_t>(
-      std::atoll(value_of(argc, argv, "--seed", "1")));
+  return uint_flag(argc, argv, "--seed", 1, 0, UINT64_MAX);
+}
+
+std::size_t arg_workers(int argc, char** argv, const char* key,
+                        std::uint64_t fallback) {
+  return static_cast<std::size_t>(
+      uint_flag(argc, argv, key, fallback, 0, kMaxWorkers));
 }
 
 int cmd_trace(int argc, char** argv) {
   const std::size_t n = arg_n(argc, argv);
   const std::uint32_t K = arg_k(argc, argv, n);
-  const auto steps = static_cast<std::uint64_t>(
-      std::atoll(value_of(argc, argv, "--steps", "20")));
+  const std::uint64_t steps =
+      uint_flag(argc, argv, "--steps", 20, 0, kMaxCount);
   const std::string daemon_name =
       value_of(argc, argv, "--daemon", "central-round-robin");
   const std::string start = value_of(argc, argv, "--start", "legit");
@@ -170,14 +213,14 @@ int cmd_trace(int argc, char** argv) {
 }
 
 int cmd_converge(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "16");
+  const std::size_t n = arg_n(argc, argv, 16);
   const std::uint32_t K = arg_k(argc, argv, n);
-  const int trials = std::atoi(value_of(argc, argv, "--trials", "50"));
+  const std::uint64_t trials =
+      uint_flag(argc, argv, "--trials", 50, 1, kMaxCount);
   const std::string daemon_name =
       value_of(argc, argv, "--daemon", "distributed-random-subset");
   sim::SweepOptions sweep_options;
-  sweep_options.threads = static_cast<std::size_t>(
-      std::atoi(value_of(argc, argv, "--threads", "0")));
+  sweep_options.threads = arg_workers(argc, argv, "--threads", 0);
   // --batched on|off (default on): bit-sliced 64-lane execution whenever
   // the requested daemon has a lane replay; the statistics are identical
   // either way (the lanes replay the scalar trials draw-for-draw).
@@ -193,16 +236,12 @@ int cmd_converge(int argc, char** argv) {
   const std::uint64_t seed = arg_seed(argc, argv);
   const std::uint64_t budget = 200ULL * n * n;
   std::vector<double> results;
-  const util::LaneBackend backend = util::detect_lane_backend();
   if (use_batch) {
     const auto spec = sim::lane_daemon_spec(daemon_name);
-    const auto blocks =
-        sim::plan_blocks(static_cast<std::uint64_t>(trials), sweep.threads(),
-                         util::lane_backend_lanes(backend));
+    const auto blocks = sim::plan_blocks(trials, sweep.threads());
     const auto per_block = sweep.map(blocks.size(), [&](std::uint64_t b) {
       return sim::run_convergence_block_ssrmin(ring, spec, seed, blocks[b],
-                                               budget, /*two_phase=*/false,
-                                               backend);
+                                               budget, /*two_phase=*/false);
     });
     for (const auto& block : per_block) {
       for (const auto& trial : block) {
@@ -213,8 +252,7 @@ int cmd_converge(int argc, char** argv) {
     }
   } else {
     results = sweep.run_trials(
-        seed, static_cast<std::uint64_t>(trials),
-        [&](std::uint64_t, Rng& rng) {
+        seed, trials, [&](std::uint64_t, Rng& rng) {
           stab::Engine<core::SsrMinRing> engine(
               ring, core::random_config(ring, rng));
           auto daemon = stab::make_daemon(daemon_name, rng.split());
@@ -229,11 +267,7 @@ int cmd_converge(int argc, char** argv) {
   for (double s : results) {
     if (s >= 0.0) steps.add(s);
   }
-  std::cout << "(engine: " << (use_batch ? "batched" : "scalar");
-  if (use_batch) {
-    std::cout << ", backend " << util::lane_backend_name(backend) << " x"
-              << util::lane_backend_lanes(backend) << " lanes";
-  }
+  std::cout << "(engine: " << (use_batch ? "batched, 64 lanes" : "scalar");
   if (batched_requested && !use_batch) {
     std::cout << "; daemon '" << daemon_name << "' has no lane replay";
   }
@@ -255,12 +289,11 @@ int cmd_converge(int argc, char** argv) {
 }
 
 int cmd_check(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "3");
+  const std::size_t n = arg_n(argc, argv, 3);
   const std::uint32_t K = arg_k(argc, argv, n);
   const std::string protocol = value_of(argc, argv, "--protocol", "ssrmin");
   verify::CheckOptions options;
-  options.threads = static_cast<std::size_t>(
-      std::atoi(value_of(argc, argv, "--threads", "0")));
+  options.threads = arg_workers(argc, argv, "--threads", 0);
   const std::string mode = value_of(argc, argv, "--mode", "auto");
   if (mode == "auto") {
     options.storage = verify::PhaseBStorage::kAuto;
@@ -312,7 +345,7 @@ int cmd_check(int argc, char** argv) {
 }
 
 int cmd_modelgap(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "5");
+  const std::size_t n = arg_n(argc, argv, 5);
   const std::uint32_t K = arg_k(argc, argv, n);
   const double delay = std::atof(value_of(argc, argv, "--delay", "1.0"));
   const double duration =
@@ -324,8 +357,7 @@ int cmd_modelgap(int argc, char** argv) {
   net.seed = arg_seed(argc, argv);
   // Sharded engine: 0 = one worker per hardware thread. Statistics are
   // byte-identical at every worker count; this is a wall-clock knob.
-  net.workers = static_cast<std::size_t>(
-      std::atoi(value_of(argc, argv, "--workers", "1")));
+  net.workers = arg_workers(argc, argv, "--workers", 1);
 
   TextTable table({"algorithm", "coverage %", "zero intervals", "min holders",
                    "max holders", "handovers"});
@@ -362,7 +394,7 @@ int cmd_modelgap(int argc, char** argv) {
 }
 
 int cmd_timeline(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "5");
+  const std::size_t n = arg_n(argc, argv, 5);
   const std::uint32_t K = arg_k(argc, argv, n);
   const auto cols = static_cast<std::size_t>(
       std::atoi(value_of(argc, argv, "--cols", "96")));
@@ -402,7 +434,7 @@ int cmd_timeline(int argc, char** argv) {
 
 int cmd_camera(int argc, char** argv) {
   incl::CameraParams params;
-  params.node_count = arg_n(argc, argv, "8");
+  params.node_count = arg_n(argc, argv, 8);
   params.duration = std::atof(value_of(argc, argv, "--duration", "3000"));
   params.net.seed = arg_seed(argc, argv);
   TextTable table({"policy", "coverage %", "blackouts", "mean active",
@@ -425,7 +457,7 @@ int cmd_camera(int argc, char** argv) {
 }
 
 int cmd_mis(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "9");
+  const std::size_t n = arg_n(argc, argv, 9);
   const std::string topo_name = value_of(argc, argv, "--topology", "ring");
   Rng rng(arg_seed(argc, argv));
   const auto topo_opt = [&]() -> std::optional<graph::Topology> {
@@ -466,7 +498,7 @@ int cmd_mis(int argc, char** argv) {
 }
 
 int cmd_markov(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "3");
+  const std::size_t n = arg_n(argc, argv, 3);
   const std::uint32_t K = arg_k(argc, argv, n);
   auto checker = verify::make_ssrmin_checker(n, K);
   verify::CheckOptions options;
@@ -486,7 +518,7 @@ int cmd_markov(int argc, char** argv) {
 }
 
 int cmd_perturb(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "3");
+  const std::size_t n = arg_n(argc, argv, 3);
   const std::uint32_t K = arg_k(argc, argv, n);
   const verify::PerturbationReport r = verify::analyze_single_faults(n, K);
   std::cout << r.summary() << "\nrecovery distribution:\n";
@@ -499,7 +531,7 @@ int cmd_perturb(int argc, char** argv) {
 }
 
 int cmd_tail(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "3");
+  const std::size_t n = arg_n(argc, argv, 3);
   const std::uint32_t K = arg_k(argc, argv, n);
   const double spread = std::atof(value_of(argc, argv, "--spread", "3.0"));
   const double duration =
@@ -569,7 +601,7 @@ void print_runtime_report(const runtime::SamplerReport& r) {
 }
 
 int cmd_run_threaded(int argc, char** argv) {
-  const std::size_t n = arg_n(argc, argv, "5");
+  const std::size_t n = arg_n(argc, argv, 5);
   const std::uint32_t k = arg_k(argc, argv, n);
   const std::uint64_t seed = arg_seed(argc, argv);
   const auto duration = std::chrono::milliseconds(
@@ -616,11 +648,8 @@ int cmd_run_multi(int argc, char** argv) {
   runtime::ReactorConfig config;
   config.rings = static_cast<std::size_t>(
       std::atoll(value_of(argc, argv, "--rings", "256")));
-  config.nodes = arg_n(argc, argv, "4");
-  config.modulus = std::atoi(value_of(argc, argv, "--k", "0")) > 0
-                       ? static_cast<std::uint32_t>(
-                             std::atoi(value_of(argc, argv, "--k", "0")))
-                       : 0;
+  config.nodes = arg_n(argc, argv, 4);
+  config.modulus = arg_k_or_zero(argc, argv);
   config.shards = static_cast<std::size_t>(
       std::atoll(value_of(argc, argv, "--shards", "1")));
   config.seed = arg_seed(argc, argv);
@@ -770,6 +799,9 @@ int main(int argc, char** argv) {
       usage();
       return 0;
     }
+  } catch (const UsageError& e) {
+    std::cerr << "ssring " << cmd << ": " << e.what() << '\n';
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
